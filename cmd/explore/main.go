@@ -130,7 +130,8 @@ func run() error {
 		if stats.Warning != "" {
 			fmt.Fprintln(os.Stderr, "explore: warning:", stats.Warning)
 		}
-		fmt.Printf("checkpoint: %d roots (%d resumed), %d saves to %s\n",
+		// Stderr, so that -json keeps stdout a single JSON object.
+		fmt.Fprintf(os.Stderr, "checkpoint: %d roots (%d resumed), %d saves to %s\n",
 			stats.TotalRoots, stats.ResumedRoots, stats.Saves, *checkpoint)
 	} else {
 		c = explore.Run(builder, opts, check)
@@ -165,6 +166,9 @@ func run() error {
 	if !*jsonOut && ctx.Err() == nil {
 		v := explore.Valence(builder, explore.Options{MaxRuns: *maxRuns / 4, Context: ctx}, nil)
 		fmt.Println("initial valence:", explore.ValenceString(v))
+		if ctx.Err() != nil {
+			fmt.Fprintln(os.Stderr, "explore: valence analysis cancelled; the set above is partial")
+		}
 	}
 
 	if !*jsonOut && *bivalence && ctx.Err() == nil {

@@ -319,3 +319,30 @@ func TestHTTPAPI(t *testing.T) {
 		t.Fatalf("bad body: %d, want 400", resp.StatusCode)
 	}
 }
+
+// TestServedCensusOnStealPool: a served job runs on the same pool as a
+// plain pruned Run — counts equal explore.Run's, and the symmetric
+// frontier is orbit-folded (orbit_skips > 0) on the served path too.
+func TestServedCensusOnStealPool(t *testing.T) {
+	req := Request{Protocol: "cas", K: 5, N: 4, Crashes: intp(1), MaxRuns: 1e15,
+		Prune: true, Symmetry: true, Workers: 2}
+	want := groundTruth(t, req)
+
+	srv, err := New(Config{Dir: t.TempDir(), Workers: 1, QueueDepth: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	srv.Start(ctx)
+
+	job, code, err := srv.Submit(req)
+	if err != nil || code != http.StatusCreated {
+		t.Fatalf("submit: code %d err %v", code, err)
+	}
+	v := waitState(t, srv, job.ID, StateDone)
+	assertResultMatches(t, "served", v.Result, want)
+	if p := v.Result.Prune; p == nil || p.OrbitSkips == 0 {
+		t.Fatalf("served symmetric census folded no orbit twins: %+v", p)
+	}
+}

@@ -68,14 +68,10 @@ type CheckpointStats struct {
 // errStopped reports a run aborted by the stopAfterRoots test hook.
 var errStopped = errors.New("explore: checkpointed run stopped")
 
-// ckRoot is one fully explored subtree in the checkpoint file.
+// ckRoot is one fully explored subtree in the checkpoint file: the
+// exported per-root record, flattened into the same JSON object.
 type ckRoot struct {
-	Complete   int            `json:"complete"`
-	Incomplete int            `json:"incomplete"`
-	Outcomes   map[string]int `json:"outcomes,omitempty"`
-	Violations int            `json:"violations"`
-	Reps       [][]Choice     `json:"reps,omitempty"`
-	Capped     bool           `json:"capped,omitempty"`
+	RootSummary
 	// Err is kept for decoding files from before the supervisor;
 	// failed roots are no longer persisted (so a resume retries them)
 	// and Err'd records from old files are simply not credited.
@@ -100,22 +96,24 @@ type ckFile struct {
 }
 
 // RunCheckpointed is Run with periodic progress persistence. It
-// explores the frontier roots on Options.Workers workers under the
-// supervisor (retry with backoff, stall watchdog, chaos when
-// configured), records each fully explored root, saves every
-// Checkpoint.Every completions, and — with Checkpoint.Resume — skips
-// roots recorded by a previous (interrupted) invocation with the same
-// builder and options. The final census is bit-identical to Run's in
-// every count; like parallel censuses, only the ≤5 recorded
-// representatives may differ, and MaxRuns is enforced per subtree
+// explores the frontier roots on Options.Workers workers of the
+// work-stealing pool (retry with backoff, stall watchdog, chaos when
+// configured, donation, orbit folding under symmetry), records each
+// root once every item of it has resolved, saves every
+// Checkpoint.Every settled roots, and — with Checkpoint.Resume —
+// credits roots recorded by a previous (interrupted) invocation with
+// the same builder and options. The final census is bit-identical to
+// Run's in every count; like parallel censuses, only the ≤5 recorded
+// representatives may differ, and MaxRuns is enforced per work item
 // rather than globally.
 //
 // Cancellation through Options.Context is root-granular: in-flight
-// roots are discarded, completed ones are flushed to the checkpoint,
-// and the returned census carries the completed roots' counts with
+// roots are discarded, settled ones are flushed to the checkpoint,
+// and the returned census carries the settled roots' counts with
 // Cancelled set — resuming later completes to the identical census.
-// Roots that exhaust the supervisor's attempt budget are reported in
-// FailedRoots and deliberately NOT persisted, so a resume retries them.
+// Roots with an item that exhausted the supervisor's attempt budget
+// are reported in FailedRoots and deliberately NOT persisted, so a
+// resume retries them.
 //
 // If the tree cannot be frontier-split under MaxRuns, it falls back to
 // a plain Run with no checkpointing (stats zero).
@@ -138,7 +136,6 @@ func RunCheckpointed(b Builder, opts Options, check func(*sim.Result) error, ck 
 	optsFP := optionsFingerprint(opts)
 	frontierFP := frontierFingerprint(items)
 	done := make(map[int]ckRoot)
-	resolved := make([]bool, len(items))
 	for _, it := range items {
 		if it.prefix != nil {
 			stats.TotalRoots++
@@ -163,13 +160,7 @@ func RunCheckpointed(b Builder, opts Options, check func(*sim.Result) error, ck 
 			}
 			stats.Warning = "checkpoint ignored: key mismatch (different builder or options); starting fresh"
 		default:
-			for k, v := range f.Done {
-				if i, err := strconv.Atoi(k); err == nil && i >= 0 && i < len(items) &&
-					items[i].prefix != nil && v.Err == "" {
-					done[i] = v
-					resolved[i] = true
-				}
-			}
+			done = f.rootsOf(items)
 			stats.ResumedRoots = len(done)
 		}
 	}
@@ -182,14 +173,15 @@ func RunCheckpointed(b Builder, opts Options, check func(*sim.Result) error, ck 
 	if opts.Prune {
 		table = newPruneTable(opts.PruneTableEntries)
 	}
-
-	ctx := opts.ctx()
 	// stopCtx lets the stopAfterRoots test hook cancel the pool through
 	// the same path a real kill or deadline takes.
-	stopCtx, stopCancel := context.WithCancel(ctx)
+	stopCtx, stopCancel := context.WithCancel(opts.ctx())
 	defer stopCancel()
-	cfg := opts.supervise()
-	wb := cfg.wrapChaos(b)
+	opts.Context = stopCtx
+	p := newStealPool(b, opts, check, table, items)
+	for i, r := range done {
+		p.roots[i] = r.settled(b, opts)
+	}
 
 	var (
 		saveMu    sync.Mutex
@@ -209,9 +201,9 @@ func RunCheckpointed(b Builder, opts Options, check func(*sim.Result) error, ck 
 		unsaved = 0
 		return nil
 	}
-	onResolve := func(i int, r ckRoot) {
+	p.sink = func(i int, r RootSummary) {
 		saveMu.Lock()
-		done[i] = r
+		done[i] = ckRoot{RootSummary: r}
 		newlyDone++
 		unsaved++
 		if unsaved >= every {
@@ -226,12 +218,9 @@ func RunCheckpointed(b Builder, opts Options, check func(*sim.Result) error, ck 
 			stopCancel()
 		}
 	}
-	task := func(tctx context.Context, i int, beat func()) (ckRoot, bool) {
-		return exploreRoot(tctx, wb, opts, check, table, items[i].prefix, beat)
-	}
-	_, _, failedMap, cancelled := superviseRoots(stopCtx, items, workers, cfg, resolved, task, onResolve)
-	stats.Retries = int(cfg.stats.Retries.Load())
-	stats.Requeues = int(cfg.stats.Requeues.Load())
+	c := p.census(workers)
+	stats.Retries = int(p.cfg.stats.Retries.Load())
+	stats.Requeues = int(p.cfg.stats.Requeues.Load())
 
 	saveMu.Lock()
 	err := save()
@@ -242,70 +231,53 @@ func RunCheckpointed(b Builder, opts Options, check func(*sim.Result) error, ck 
 	if hookStop {
 		return nil, stats, errStopped
 	}
-
-	// Deterministic merge in DFS root order, exactly like pruneCensus.
-	// Under cancellation this still runs: completed roots' counts are
-	// real, missing ones mark the census non-exhaustive.
-	total := newSummary()
-	exhaustive := !cancelled
-	var failures []RootFailure
-	for i, it := range items {
-		if it.prefix == nil {
-			total.addTerminal(*it.leaf, check)
-			continue
-		}
-		if f, lost := failedMap[i]; lost {
-			failures = append(failures, f)
-			exhaustive = false
-			continue
-		}
-		r, explored := done[i]
-		if !explored {
-			exhaustive = false // cancelled before this root was explored
-			continue
-		}
-		total.merge(r.toSummary(b, opts))
-		if r.Capped {
-			exhaustive = false
-		}
-	}
-	c := censusFrom(total, exhaustive)
-	c.FailedRoots = failures
-	c.Errors = failureStrings(failures)
-	c.Cancelled = cancelled
-	if table != nil {
-		c.Prune = table.statsSnapshot()
-		opts.markReducers(c.Prune)
-	}
 	return c, stats, nil
 }
 
-// exploreRoot fully explores one subtree. Panics propagate: the
-// supervisor recovers them and owns the retry policy. A true second
-// return value means the context was cancelled mid-root and the partial
-// record must be discarded.
-func exploreRoot(ctx context.Context, b Builder, opts Options, check func(*sim.Result) error, table *pruneTable, prefix []Choice, beat func()) (ckRoot, bool) {
+// rootsOf lists the file's creditable records: a root of items (not a
+// leaf, in range) recorded without an error.
+func (f *ckFile) rootsOf(items []frontierItem) map[int]ckRoot {
+	out := make(map[int]ckRoot)
+	for k, v := range f.Done {
+		if i, err := strconv.Atoi(k); err == nil && i >= 0 && i < len(items) &&
+			items[i].prefix != nil && v.Err == "" {
+			out[i] = v
+		}
+	}
+	return out
+}
+
+// exploreRoot fully explores one subtree. Panics propagate to the
+// caller. A true second return value means the context was cancelled
+// mid-root and the partial record must be discarded.
+func exploreRoot(ctx context.Context, b Builder, opts Options, check func(*sim.Result) error, table *pruneTable, prefix []Choice, beat func()) (RootSummary, bool) {
 	en := &engine{b: b, opts: opts, acc: newSummary(), check: check, table: table, root: prefix, ctx: ctx, onStep: beat}
 	en.run()
 	if en.cancelled {
-		return ckRoot{}, true
+		return RootSummary{}, true
 	}
-	out := ckRoot{
-		Complete:   en.acc.complete,
-		Incomplete: en.acc.incomplete,
-		Outcomes:   en.acc.outcomes,
-		Violations: en.acc.violations,
-		Capped:     en.capped,
+	return rootSummaryOf(en.acc, en.capped), false
+}
+
+// rootSummaryOf flattens a subtree summary into its persisted form,
+// representatives reduced to their schedules.
+func rootSummaryOf(s *summary, capped bool) RootSummary {
+	out := RootSummary{
+		Complete:   s.complete,
+		Incomplete: s.incomplete,
+		Outcomes:   s.outcomes,
+		Violations: s.violations,
+		Capped:     capped,
 	}
-	for _, rep := range en.acc.reps {
+	for _, rep := range s.reps {
 		out.Reps = append(out.Reps, rep.Schedule)
 	}
-	return out, false
+	return out
 }
 
 // toSummary rebuilds a summary from its persisted form, replaying the
 // recorded representative schedules to recover their Results.
-func (r ckRoot) toSummary(b Builder, opts Options) *summary {
+func (r RootSummary) toSummary(b Builder, opts Options) *summary {
 	s := &summary{
 		complete:   r.Complete,
 		incomplete: r.Incomplete,
@@ -341,12 +313,9 @@ func foldString(h uint64, s string) uint64 {
 	return h
 }
 
-// frontierFingerprint hashes every frontier prefix. Builders are
-// functions and cannot be hashed directly; the frontier, being the
-// builder's observable branching structure down to the split, stands
-// in for it.
-func frontierFingerprint(items []frontierItem) uint64 {
-	h := uint64(fnvOffset)
+// foldItems continues an FNV-1a fold over every frontier item's
+// schedule, in order. It is the prefix part of every checkpoint key.
+func foldItems(h uint64, items []frontierItem) uint64 {
 	for _, it := range items {
 		if it.prefix != nil {
 			h = foldString(h, "|"+FormatSchedule(it.prefix))
@@ -357,20 +326,20 @@ func frontierFingerprint(items []frontierItem) uint64 {
 	return h
 }
 
+// frontierFingerprint hashes every frontier prefix. Builders are
+// functions and cannot be hashed directly; the frontier, being the
+// builder's observable branching structure down to the split, stands
+// in for it.
+func frontierFingerprint(items []frontierItem) uint64 {
+	return foldItems(fnvOffset, items)
+}
+
 // checkpointKey fingerprints the exploration: the option fields that
 // shape the tree plus every frontier prefix. The fold order (options
 // string, then prefixes) is preserved from earlier releases so their
 // checkpoints still resume.
 func checkpointKey(opts Options, items []frontierItem) uint64 {
-	h := foldString(uint64(fnvOffset), optionsFingerprint(opts))
-	for _, it := range items {
-		if it.prefix != nil {
-			h = foldString(h, "|"+FormatSchedule(it.prefix))
-		} else {
-			h = foldString(h, "|leaf:"+FormatSchedule(it.leaf.Schedule))
-		}
-	}
-	return h
+	return foldItems(foldString(fnvOffset, optionsFingerprint(opts)), items)
 }
 
 // FNV-1a constants (local copy; sim keeps its own unexported ones).

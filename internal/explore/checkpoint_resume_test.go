@@ -1,6 +1,7 @@
 package explore
 
 import (
+	"context"
 	"encoding/json"
 	"os"
 	"path/filepath"
@@ -228,5 +229,80 @@ func TestSupervisorEvents(t *testing.T) {
 	}
 	if counts[EventFailed] != 0 {
 		t.Fatalf("healed run emitted %d failure events", counts[EventFailed])
+	}
+}
+
+// TestCheckpointKeysGolden pins the checkpoint key, the frontier
+// fingerprint and a subtree checkpoint key for a fixed builder to the
+// values earlier releases wrote, so their checkpoint files still
+// resume.
+func TestCheckpointKeysGolden(t *testing.T) {
+	opts := Options{MaxCrashes: 1, Workers: 2}.withDefaults()
+	items, ok := frontier(wideTree, opts, opts.workerCount())
+	if !ok {
+		t.Fatal("frontier capped unexpectedly")
+	}
+	if got, want := checkpointKey(opts, items), uint64(0xce21b0bd1c61f855); got != want {
+		t.Errorf("checkpointKey = %#x, want %#x", got, want)
+	}
+	if got, want := frontierFingerprint(items), uint64(0x83326d8d7e624b3d); got != want {
+		t.Errorf("frontierFingerprint = %#x, want %#x", got, want)
+	}
+	var root []Choice
+	for _, it := range items {
+		if it.prefix != nil {
+			root = it.prefix
+			break
+		}
+	}
+	path := filepath.Join(t.TempDir(), "sub.json")
+	if _, _, err := ExploreSubtree(context.Background(), wideTree, opts, nil, root, SubtreeCheckpoint{Path: path}, nil); err != nil {
+		t.Fatal(err)
+	}
+	f, err := loadCheckpoint(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := uint64(0x8588c4bd22ad9210); f.Key != want {
+		t.Errorf("subtree checkpoint key under %q = %#x, want %#x", FormatSchedule(root), f.Key, want)
+	}
+}
+
+// TestCheckpointStealResumeBitIdentical: RunCheckpointed rides the
+// work-stealing pool, so with donation forced at every backtrack it
+// must donate and still match the sequential census, and a run killed
+// with donated items in flight must resume to the identical census.
+func TestCheckpointStealResumeBitIdentical(t *testing.T) {
+	forceDonation(t)
+	baseline := Run(wideTree, Options{MaxCrashes: 1}.withDefaults(), disagreeCheck)
+	opts := Options{MaxCrashes: 1, Workers: 4, Prune: true}.withDefaults()
+
+	full, _, err := RunCheckpointed(wideTree, opts, disagreeCheck, Checkpoint{Path: filepath.Join(t.TempDir(), "full.json")})
+	if err != nil {
+		t.Fatal(err)
+	}
+	censusSame(t, "checkpointed", full, baseline)
+	if full.Prune == nil || full.Prune.Donations == 0 {
+		t.Fatalf("forced hunger produced no donations on the checkpointed path: %+v", full.Prune)
+	}
+
+	path := filepath.Join(t.TempDir(), "ck.json")
+	_, killStats, err := RunCheckpointed(wideTree, opts, disagreeCheck, Checkpoint{Path: path, Every: 1, stopAfterRoots: 3})
+	if err != errStopped {
+		t.Fatalf("killed run returned err=%v, want errStopped", err)
+	}
+	if killStats.Saves == 0 {
+		t.Fatal("killed run saved no checkpoint")
+	}
+	resumed, stats, err := RunCheckpointed(wideTree, opts, disagreeCheck, Checkpoint{Path: path, Every: 1, Resume: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if stats.ResumedRoots == 0 || stats.ResumedRoots == stats.TotalRoots {
+		t.Fatalf("resume credited %d of %d roots, want a proper subset", stats.ResumedRoots, stats.TotalRoots)
+	}
+	censusSame(t, "kill→resume", resumed, baseline)
+	if resumed.Prune.Donations == 0 {
+		t.Fatal("resumed run donated nothing")
 	}
 }

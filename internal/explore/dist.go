@@ -15,17 +15,16 @@ import (
 // returned partial censuses under the exact discipline the local
 // engines use. The unit of distribution is the same unit the
 // work-stealing pool and the checkpoint file use — a subtree root's
-// schedule prefix — and the merge is the same deterministic
-// DFS-root-order fold, so a distributed census is bit-identical in
-// every count to a single-process run. Only engine telemetry (prune
+// schedule prefix — and the merge is the pool's own DFS-root-order
+// fold (foldCensus), so a distributed census is bit-identical in every
+// count to a single-process run. Only engine telemetry (prune
 // table hit/miss counters) is process-local and not aggregated.
 
 // RootSummary is the census of one fully explored subtree root, in the
 // form that crosses process boundaries: plain counts plus violation
-// representatives flattened to schedules. It is the exported twin of
-// the checkpoint file's per-root record, and the two convert exactly —
-// a coordinator checkpoint written from remote results resumes into a
-// local run and vice versa.
+// representatives flattened to schedules. It is the checkpoint file's
+// per-root record (ckRoot embeds it), so a coordinator checkpoint
+// written from remote results resumes into a local run and vice versa.
 type RootSummary struct {
 	Complete   int            `json:"complete"`
 	Incomplete int            `json:"incomplete"`
@@ -33,20 +32,6 @@ type RootSummary struct {
 	Violations int            `json:"violations"`
 	Reps       [][]Choice     `json:"reps,omitempty"`
 	Capped     bool           `json:"capped,omitempty"`
-}
-
-func (r RootSummary) ck() ckRoot {
-	return ckRoot{
-		Complete: r.Complete, Incomplete: r.Incomplete, Outcomes: r.Outcomes,
-		Violations: r.Violations, Reps: r.Reps, Capped: r.Capped,
-	}
-}
-
-func summaryFromCk(r ckRoot) RootSummary {
-	return RootSummary{
-		Complete: r.Complete, Incomplete: r.Incomplete, Outcomes: r.Outcomes,
-		Violations: r.Violations, Reps: r.Reps, Capped: r.Capped,
-	}
 }
 
 // DistPlan is one exploration split into its distributable work items.
@@ -159,11 +144,8 @@ func (p *DistPlan) LoadCheckpoint(path string) (map[int]RootSummary, string, err
 		return nil, "checkpoint ignored: key mismatch (different builder or options); starting fresh", nil
 	}
 	done := make(map[int]RootSummary)
-	for k, v := range f.Done {
-		if i, err := strconv.Atoi(k); err == nil && i >= 0 && i < len(p.items) &&
-			p.items[i].prefix != nil && v.Err == "" {
-			done[i] = summaryFromCk(v)
-		}
+	for i, v := range f.rootsOf(p.items) {
+		done[i] = v.RootSummary
 	}
 	return done, "", nil
 }
@@ -173,7 +155,7 @@ func (p *DistPlan) LoadCheckpoint(path string) (map[int]RootSummary, string, err
 func (p *DistPlan) SaveCheckpoint(path string, done map[int]RootSummary) error {
 	f := ckFile{Key: p.key, Frontier: p.frontierFP, Opts: p.optsFP, Done: make(map[string]ckRoot, len(done))}
 	for i, r := range done {
-		f.Done[strconv.Itoa(i)] = r.ck()
+		f.Done[strconv.Itoa(i)] = ckRoot{RootSummary: r}
 	}
 	return saveCheckpoint(path, &f)
 }
@@ -187,73 +169,33 @@ func (p *DistPlan) ExploreRootLocal(ctx context.Context, i int) (RootSummary, bo
 	if p.opts.Prune {
 		p.tableOnce.Do(func() { p.table = newPruneTable(p.opts.PruneTableEntries) })
 	}
-	r, cancelled := exploreRoot(ctx, p.b, p.opts, p.check, p.table, p.items[i].prefix, nil)
-	return summaryFromCk(r), cancelled
+	return exploreRoot(ctx, p.b, p.opts, p.check, p.table, p.items[i].prefix, nil)
 }
 
-// Merge folds per-root summaries back into a census, in DFS root order
-// — the identical fold RunCheckpointed and the shared-table engine
-// use, so counts, outcome histograms, violation counts and recorded
-// representatives all match a single-process run. Roots present in
-// neither done nor failed mark the census cancelled-and-partial.
-// Under an orbit partition a twin with no recorded summary of its own
-// (the normal case — Roots never hands twins out) is credited its
-// representative's summary renamed through the composed orientation,
-// and the skips are reported in Census.Prune.OrbitSkips. Otherwise
-// Census.Prune is nil: prune counters are per-process telemetry and do
-// not aggregate across workers.
+// Merge folds per-root summaries back into a census through the
+// steal pool's fold (foldCensus), in DFS root order, so counts, outcome
+// histograms, violation counts and recorded representatives all match
+// a single-process run. Roots present in neither done nor failed mark
+// the census cancelled-and-partial. Under an orbit partition a twin
+// with no recorded summary of its own (the normal case — Roots never
+// hands twins out) is credited its representative's summary renamed
+// through the composed orientation, and the skips are reported in
+// Census.Prune.OrbitSkips. Otherwise Census.Prune is nil: prune
+// counters are per-process telemetry and do not aggregate across
+// workers.
 func (p *DistPlan) Merge(done map[int]RootSummary, failed map[int]RootFailure) *Census {
-	total := newSummary()
-	exhaustive := true
-	cancelled := false
-	var orbitSkips uint64
-	var failures []RootFailure
-	for i, it := range p.items {
-		if it.prefix == nil {
-			total.addTerminal(*it.leaf, p.check)
-			continue
-		}
-		if f, lost := failed[i]; lost {
-			failures = append(failures, f)
-			exhaustive = false
-			continue
-		}
-		r, explored := done[i]
-		if !explored {
-			if p.orbit != nil && p.orbit.rep[i] != i {
-				// Orbit twin: credit the representative's summary in the
-				// twin's own coordinates. A twin whose rep is unresolved
-				// shares the rep's disposition (the rep's own iteration
-				// already recorded the deficit).
-				j := p.orbit.rep[i]
-				if rj, ok := done[j]; ok {
-					total.mergeRenamed(rj.ck().toSummary(p.b, p.opts),
-						orbitRenamerRaw(p.opts.canon, p.orbit.perm[j], p.orbit.perm[i]))
-					if rj.Capped {
-						exhaustive = false
-					}
-					orbitSkips++
-					continue
-				}
-				exhaustive = false
-				if _, lost := failed[j]; !lost {
-					cancelled = true
-				}
-				continue
-			}
-			exhaustive = false
-			cancelled = true
-			continue
-		}
-		total.merge(r.ck().toSummary(p.b, p.opts))
-		if r.Capped {
-			exhaustive = false
+	roots := make([]rootState, len(p.items))
+	for i, r := range done {
+		if i >= 0 && i < len(roots) {
+			roots[i] = r.settled(p.b, p.opts)
 		}
 	}
-	c := censusFrom(total, exhaustive)
-	c.FailedRoots = failures
-	c.Errors = failureStrings(failures)
-	c.Cancelled = cancelled
+	for i, f := range failed {
+		if i >= 0 && i < len(roots) {
+			roots[i] = rootState{failed: []RootFailure{f}, settled: true}
+		}
+	}
+	c, orbitSkips := foldCensus(p.items, roots, p.check, p.orbit, p.opts.canon)
 	if p.orbit != nil {
 		st := &PruneStats{OrbitSkips: orbitSkips}
 		p.opts.markReducers(st)
@@ -324,21 +266,21 @@ func ExploreSubtree(ctx context.Context, b Builder, opts Options, check func(*si
 		if cancelled {
 			return RootSummary{}, stats, ctx.Err()
 		}
-		return summaryFromCk(r), stats, nil
+		return r, stats, nil
 	}
 
-	items := subFrontier(ctx, b, opts, prefix)
-	if items == nil {
+	opts.Context = ctx
+	items, ok := splitFrontier(b, opts, prefix, 8, 12)
+	if !ok {
 		// Not splittable (tiny subtree, or enumeration hit the cap):
 		// explore monolithically, with a single-record checkpoint so a
 		// completed-but-undelivered item still resumes instantly.
-		key := foldString(uint64(fnvOffset), optionsFingerprint(opts))
-		key = foldString(key, "|item:"+FormatSchedule(prefix)+"|mono")
+		key := foldString(foldString(fnvOffset, optionsFingerprint(opts)), "|item:"+FormatSchedule(prefix)+"|mono")
 		if ck.Resume {
 			if f, warn := loadCheckpointTolerant(ck.Path); f != nil && f.Key == key {
 				if v, ok := f.Done["0"]; ok && v.Err == "" {
 					stats.Resumed = 1
-					return summaryFromCk(v), stats, nil
+					return v.RootSummary, stats, nil
 				}
 			} else {
 				stats.Warning = warn
@@ -348,11 +290,11 @@ func ExploreSubtree(ctx context.Context, b Builder, opts Options, check func(*si
 		if cancelled {
 			return RootSummary{}, stats, ctx.Err()
 		}
-		if err := saveCheckpoint(ck.Path, &ckFile{Key: key, Done: map[string]ckRoot{"0": r}}); err != nil {
+		if err := saveCheckpoint(ck.Path, &ckFile{Key: key, Done: map[string]ckRoot{"0": {RootSummary: r}}}); err != nil {
 			return RootSummary{}, stats, err
 		}
 		stats.Saves++
-		return summaryFromCk(r), stats, nil
+		return r, stats, nil
 	}
 	stats.SubRoots = 0
 	for _, it := range items {
@@ -364,15 +306,7 @@ func ExploreSubtree(ctx context.Context, b Builder, opts Options, check func(*si
 	// The sub-checkpoint key extends the standard options fold with the
 	// work item's own prefix, so files from different roots (or jobs)
 	// never cross-resume.
-	key := foldString(uint64(fnvOffset), optionsFingerprint(opts))
-	key = foldString(key, "|item:"+FormatSchedule(prefix))
-	for _, it := range items {
-		if it.prefix != nil {
-			key = foldString(key, "|"+FormatSchedule(it.prefix))
-		} else {
-			key = foldString(key, "|leaf:"+FormatSchedule(it.leaf.Schedule))
-		}
-	}
+	key := foldItems(foldString(foldString(fnvOffset, optionsFingerprint(opts)), "|item:"+FormatSchedule(prefix)), items)
 
 	done := make(map[int]ckRoot)
 	if ck.Resume {
@@ -383,12 +317,7 @@ func ExploreSubtree(ctx context.Context, b Builder, opts Options, check func(*si
 		case f.Key != key:
 			stats.Warning = "subtree checkpoint ignored: key mismatch; starting fresh"
 		default:
-			for k, v := range f.Done {
-				if i, err := strconv.Atoi(k); err == nil && i >= 0 && i < len(items) &&
-					items[i].prefix != nil && v.Err == "" {
-					done[i] = v
-				}
-			}
+			done = f.rootsOf(items)
 			stats.Resumed = len(done)
 		}
 	}
@@ -421,7 +350,7 @@ func ExploreSubtree(ctx context.Context, b Builder, opts Options, check func(*si
 			_ = save() // flush progress; the error is the cancellation
 			return RootSummary{}, stats, ctx.Err()
 		}
-		done[i] = r
+		done[i] = ckRoot{RootSummary: r}
 		if beat != nil {
 			beat()
 		}
@@ -439,65 +368,22 @@ func ExploreSubtree(ctx context.Context, b Builder, opts Options, check func(*si
 
 	// Deterministic merge in DFS sub-root order — identical to the
 	// monolithic walk of the same subtree in every count and in the
-	// first ≤MaxRecordedViolations representatives.
-	total := newSummary()
-	capped := false
-	for i, it := range items {
-		if it.prefix == nil {
-			total.addTerminal(*it.leaf, check)
-			continue
-		}
-		r := done[i]
-		total.merge(r.toSummary(b, opts))
-		if r.Capped {
-			capped = true
-		}
+	// first ≤MaxRecordedViolations representatives. Every sub-root
+	// settled without loss, so only a cap leaves the fold non-exhaustive.
+	roots := make([]rootState, len(items))
+	for i, r := range done {
+		roots[i] = r.settled(b, opts)
 	}
+	c, _ := foldCensus(items, roots, check, nil, nil)
 	out := RootSummary{
-		Complete:   total.complete,
-		Incomplete: total.incomplete,
-		Outcomes:   total.outcomes,
-		Violations: total.violations,
-		Capped:     capped,
+		Complete:   c.Complete,
+		Incomplete: c.Incomplete,
+		Outcomes:   c.Outcomes,
+		Violations: c.ViolationRuns,
+		Capped:     !c.Exhaustive,
 	}
-	for _, rep := range total.reps {
-		out.Reps = append(out.Reps, rep.Schedule)
+	for _, v := range c.Violations {
+		out.Reps = append(out.Reps, v.Schedule)
 	}
 	return out, stats, nil
-}
-
-// subFrontier splits the subtree rooted at prefix at a shallow depth,
-// mirroring frontier()'s split policy relative to the prefix. nil
-// means the subtree is not worth splitting (or enumeration was capped
-// or cancelled) and the caller should explore it monolithically.
-func subFrontier(ctx context.Context, b Builder, opts Options, prefix []Choice) []frontierItem {
-	const target = 8
-	base := len(prefix)
-	var items []frontierItem
-	for split := 1; ; split++ {
-		items = items[:0]
-		roots := 0
-		shallow := opts
-		shallow.MaxDepth = base + split
-		en := &engine{b: b, opts: shallow, root: prefix, ctx: ctx, visit: func(o Outcome) bool {
-			if o.Result.Halted && len(o.Schedule) == base+split {
-				items = append(items, frontierItem{prefix: o.Schedule})
-				roots++
-			} else {
-				oc := o
-				items = append(items, frontierItem{leaf: &oc})
-			}
-			return true
-		}}
-		en.run()
-		if en.capped || en.cancelled {
-			return nil
-		}
-		if roots == 0 && split == 1 {
-			return nil // the whole subtree is a handful of terminal runs
-		}
-		if roots >= target || roots == 0 || base+split+1 >= opts.MaxDepth || split >= 12 {
-			return items
-		}
-	}
 }

@@ -424,19 +424,7 @@ func (w *walker) replay(prefix []Choice) (*sim.Result, []sim.ProcID) {
 
 // replayPrefix runs a fresh system under the given choice prefix.
 func replayPrefix(b Builder, opts Options, prefix []Choice) (*sim.Result, []sim.ProcID) {
-	plan := newChoicePlan(prefix)
-	sys := b()
-	cfg := sim.Config{
-		Scheduler:       plan,
-		Faults:          plan,
-		MaxStepsPerProc: opts.MaxStepsPerProc,
-		MaxTotalSteps:   opts.MaxDepth + 1,
-		DisableTrace:    true,
-	}
-	if opts.ObjectFaults > 0 {
-		cfg.ObjectFaults = plan
-	}
-	res, err := sys.Run(cfg)
+	res, err := newChoicePlan(prefix).run(b, opts)
 	if err != nil {
 		// A Builder that yields scheduler misuse is a programming error.
 		panic(fmt.Sprintf("explore: replay failed: %v", err))
@@ -451,14 +439,49 @@ func replayPrefix(b Builder, opts Options, prefix []Choice) (*sim.Result, []sim.
 // Next halts the run. A fault-pick arms pendingFault in Next, and the
 // granted step's Env.Apply collects it through FaultOp — no step
 // arithmetic is needed because FaultOp is consulted exactly once per
-// granted step.
+// granted step. The plan counts the crash and fault choices it
+// consumes and flags a planned pick that was not ready (dead).
 type choicePlan struct {
-	choices      []Choice
-	i            int
-	pendingFault sim.FaultMode
+	choices         []Choice
+	i               int
+	pendingFault    sim.FaultMode
+	crashes, faults int
+	dead            bool
+
+	// capture fingerprints the node the plan reaches, under
+	// Options.canon: once the plan is exhausted every live process is
+	// parked inside Next — the quiescent point the engine's prober keys
+	// on — and Next reads the canonical state hash of sys (keyed false
+	// when the state does not fingerprint) before halting.
+	capture bool
+	sys     *sim.System
+	fp      uint64
+	perm    int
+	keyed   bool
 }
 
 func newChoicePlan(cs []Choice) *choicePlan { return &choicePlan{choices: cs} }
+
+// run executes a fresh system under the plan, keeping the state
+// fingerprint when the plan captures one.
+func (p *choicePlan) run(b Builder, opts Options) (*sim.Result, error) {
+	p.sys = b()
+	cfg := sim.Config{
+		Scheduler:       p,
+		Faults:          p,
+		MaxStepsPerProc: opts.MaxStepsPerProc,
+		MaxTotalSteps:   opts.MaxDepth + 1,
+		DisableTrace:    true,
+		ForceGoroutines: opts.ForceGoroutines,
+	}
+	if opts.ObjectFaults > 0 {
+		cfg.ObjectFaults = p
+	}
+	if p.capture {
+		cfg.Fingerprint, cfg.Canon, cfg.VerifyFingerprints = true, opts.canon, opts.VerifyFingerprints
+	}
+	return p.sys.Run(cfg)
+}
 
 // CrashNow implements sim.FaultPlan: it consumes all consecutive crash
 // choices at the current position.
@@ -467,6 +490,7 @@ func (p *choicePlan) CrashNow(_ []sim.ProcID, _ int) []sim.ProcID {
 	for p.i < len(p.choices) && p.choices[p.i].Crash {
 		out = append(out, p.choices[p.i].Pick)
 		p.i++
+		p.crashes++
 	}
 	return out
 }
@@ -475,6 +499,9 @@ func (p *choicePlan) CrashNow(_ []sim.ProcID, _ int) []sim.ProcID {
 // the step's object fault if the choice carries one.
 func (p *choicePlan) Next(ready []sim.ProcID, _ int) sim.ProcID {
 	if p.i >= len(p.choices) {
+		if p.capture {
+			p.fp, p.perm, p.keyed = p.sys.StateHashCanon()
+		}
 		return sim.Halt
 	}
 	c := p.choices[p.i]
@@ -482,9 +509,13 @@ func (p *choicePlan) Next(ready []sim.ProcID, _ int) sim.ProcID {
 	for _, r := range ready {
 		if r == c.Pick {
 			p.pendingFault = c.Fault
+			if c.Fault != sim.FaultNone {
+				p.faults++
+			}
 			return c.Pick
 		}
 	}
+	p.dead = true
 	return sim.Halt
 }
 

@@ -28,14 +28,10 @@ import (
 // orbitInfo is the orbit partition of one frontier: rep[i] is the
 // index of item i's representative (rep[i] == i for representatives,
 // leaves and unkeyed roots), perm[i] its root state's canonical
-// orientation, and key[i] its canonical table key (valid only when
-// keyed[i]).
+// orientation.
 type orbitInfo struct {
-	rep   []int
-	perm  []int
-	key   []tableKey
-	keyed []bool
-	twins int
+	rep  []int
+	perm []int
 }
 
 // orbitPartition keys every prefix-bearing frontier item's root state
@@ -44,12 +40,7 @@ type orbitInfo struct {
 // representative and are explored normally — partitioning degrades,
 // counts never do.
 func orbitPartition(b Builder, opts Options, items []frontierItem) *orbitInfo {
-	info := &orbitInfo{
-		rep:   make([]int, len(items)),
-		perm:  make([]int, len(items)),
-		key:   make([]tableKey, len(items)),
-		keyed: make([]bool, len(items)),
-	}
+	info := &orbitInfo{rep: make([]int, len(items)), perm: make([]int, len(items))}
 	first := make(map[tableKey]int)
 	for i, it := range items {
 		info.rep[i] = i
@@ -60,10 +51,9 @@ func orbitPartition(b Builder, opts Options, items []frontierItem) *orbitInfo {
 		if !ok {
 			continue
 		}
-		info.perm[i], info.key[i], info.keyed[i] = perm, k, true
+		info.perm[i] = perm
 		if j, seen := first[k]; seen {
 			info.rep[i] = j
-			info.twins++
 		} else {
 			first[k] = i
 		}
@@ -78,115 +68,20 @@ func orbitPartition(b Builder, opts Options, items []frontierItem) *orbitInfo {
 // budgets. ok is false when the replay diverged (nondeterministic
 // builder) or the state does not fingerprint.
 func rootOrbitKey(b Builder, opts Options, prefix []Choice) (tableKey, int, bool) {
-	sys := b()
-	r := &orbitReplay{plan: prefix, sys: sys}
-	cfg := sim.Config{
-		Scheduler:          r,
-		Faults:             r,
-		MaxStepsPerProc:    opts.MaxStepsPerProc,
-		MaxTotalSteps:      opts.MaxDepth + 1,
-		DisableTrace:       true,
-		Fingerprint:        true,
-		Canon:              opts.canon,
-		ForceGoroutines:    opts.ForceGoroutines,
-		VerifyFingerprints: opts.VerifyFingerprints,
-	}
-	if opts.ObjectFaults > 0 {
-		cfg.ObjectFaults = r
-	}
-	if _, err := sys.Run(cfg); err != nil || r.dead || !r.ok {
+	p := &choicePlan{choices: prefix, capture: true}
+	if _, err := p.run(b, opts); err != nil || p.dead || !p.keyed {
 		return tableKey{}, 0, false
 	}
 	return tableKey{
-		fp:       r.fp,
+		fp:       p.fp,
 		depthRem: opts.MaxDepth - len(prefix),
-		crashRem: opts.MaxCrashes - r.crashes,
-		faultRem: opts.ObjectFaults - r.faults,
-	}, r.perm, true
-}
-
-// orbitReplay drives one prefix replay as Scheduler, FaultPlan and
-// ObjectFaultPlan — the prober's plan-consumption branch with the
-// engine hooks stripped. When the plan is exhausted it captures the
-// canonical state hash (all live processes are parked inside Next,
-// the same quiescent point the prober keys on) and halts.
-type orbitReplay struct {
-	sys          *sim.System
-	plan         []Choice
-	i            int
-	crashes      int
-	faults       int
-	pendingFault sim.FaultMode
-	crashBuf     []sim.ProcID
-
-	fp   uint64
-	perm int
-	ok   bool
-	dead bool
-}
-
-// FaultOp implements sim.ObjectFaultPlan.
-func (r *orbitReplay) FaultOp(_ int) sim.FaultMode {
-	m := r.pendingFault
-	r.pendingFault = sim.FaultNone
-	return m
-}
-
-// CrashNow implements sim.FaultPlan, consuming consecutive planned
-// crash choices like prober.CrashNow.
-func (r *orbitReplay) CrashNow(_ []sim.ProcID, _ int) []sim.ProcID {
-	if r.i >= len(r.plan) || !r.plan[r.i].Crash {
-		return nil
-	}
-	out := r.crashBuf[:0]
-	for r.i < len(r.plan) && r.plan[r.i].Crash {
-		out = append(out, r.plan[r.i].Pick)
-		r.i++
-		r.crashes++
-	}
-	r.crashBuf = out
-	return out
-}
-
-// Next implements sim.Scheduler.
-func (r *orbitReplay) Next(ready []sim.ProcID, _ int) sim.ProcID {
-	if r.i < len(r.plan) {
-		c := r.plan[r.i]
-		r.i++
-		for _, q := range ready {
-			if q == c.Pick {
-				r.pendingFault = c.Fault
-				if c.Fault != sim.FaultNone {
-					r.faults++
-				}
-				return c.Pick
-			}
-		}
-		r.dead = true
-		return sim.Halt
-	}
-	if !r.ok {
-		// Plan exhausted: this parked state IS the root node. A failed
-		// fold leaves ok false and the caller treats the root as unique.
-		r.fp, r.perm, r.ok = r.sys.StateHashCanon()
-	}
-	return sim.Halt
-}
-
-// orbitRenamer is the outcome-key translation for crediting a twin
-// from a summary stored in CANONICAL coordinates (a published table
-// entry): rename out of canonical through the inverse of the twin's
-// orientation — exactly what engine.run applies on a table hit. nil
-// (identity) when the orientation is the identity permutation.
-func orbitRenamer(canon *sim.Canonicalizer, twinPerm int) func(string) string {
-	if canon == nil || twinPerm == 0 {
-		return nil
-	}
-	return canon.OutcomeRenamerInv(twinPerm)
+		crashRem: opts.MaxCrashes - p.crashes,
+		faultRem: opts.ObjectFaults - p.faults,
+	}, p.perm, true
 }
 
 // orbitRenamerRaw is the translation for crediting a twin from a
-// summary in the REPRESENTATIVE'S OWN coordinates (a distributed
+// summary in the REPRESENTATIVE'S OWN coordinates (its ledger entry or
 // RootSummary, never canonicalized): rename into canonical through
 // the rep's orientation, then out through the inverse of the twin's —
 // the publication and consumption steps of the shared-table flow,

@@ -26,20 +26,28 @@ type frontierItem struct {
 	prefix []Choice
 }
 
-// frontier enumerates the tree down to a split depth chosen so that
-// there are comfortably more roots than workers (≥8× for load balance).
-// ok is false when enumeration hit MaxRuns or the context was cancelled
-// — the caller should fall back to a sequential walk, which owns the
-// exact cap/cancel semantics.
-func frontier(b Builder, opts Options, workers int) (items []frontierItem, ok bool) {
-	target := 8 * workers
+// frontier splits the whole tree at a depth chosen so that there are
+// comfortably more roots than workers (≥8× for load balance).
+func frontier(b Builder, opts Options, workers int) ([]frontierItem, bool) {
+	return splitFrontier(b, opts, nil, 8*workers, 24)
+}
+
+// splitFrontier enumerates the subtree under prefix down to the
+// shallowest split depth (counted below prefix) with at least target
+// roots, stopping early when no roots remain, when the split would
+// swallow the depth budget (deep narrow trees), or at maxSplit. ok is
+// false when enumeration hit MaxRuns or Options.Context was cancelled,
+// or when every run ends within one step of prefix — the caller should
+// walk the subtree whole, which owns the exact cap/cancel semantics.
+func splitFrontier(b Builder, opts Options, prefix []Choice, target, maxSplit int) (items []frontierItem, ok bool) {
+	base := len(prefix)
 	for split := 1; ; split++ {
 		items = items[:0]
 		roots := 0
 		shallow := opts
-		shallow.MaxDepth = split
-		en := &engine{b: b, opts: shallow, ctx: opts.Context, visit: func(o Outcome) bool {
-			if o.Result.Halted && len(o.Schedule) == split {
+		shallow.MaxDepth = base + split
+		en := &engine{b: b, opts: shallow, root: prefix, ctx: opts.Context, visit: func(o Outcome) bool {
+			if o.Result.Halted && len(o.Schedule) == base+split {
 				items = append(items, frontierItem{prefix: o.Schedule})
 				roots++
 			} else {
@@ -51,13 +59,10 @@ func frontier(b Builder, opts Options, workers int) (items []frontierItem, ok bo
 			return true
 		}}
 		en.run()
-		if en.capped || en.cancelled {
+		if en.capped || en.cancelled || (roots == 0 && split == 1) {
 			return nil, false
 		}
-		// Stop growing the split when there is enough parallelism, when
-		// the whole tree is above the split (roots == 0), or when the
-		// split would swallow the depth budget (deep narrow trees).
-		if roots >= target || roots == 0 || split+1 >= opts.MaxDepth || split >= 24 {
+		if roots >= target || roots == 0 || base+split+1 >= opts.MaxDepth || split >= maxSplit {
 			return items, true
 		}
 	}

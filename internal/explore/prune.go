@@ -431,7 +431,7 @@ func resolveSymmetry(b Builder, opts Options) Options {
 // start on frontier roots and, when the queue runs dry, busy workers
 // donate untried sibling subtrees mid-walk instead of letting the pool
 // idle. Retry with backoff, the stall watchdog and chaos injection
-// carry over from the supervisor unchanged.
+// are the pool's, shared with RunCheckpointed.
 func pruneCensus(b Builder, opts Options, check func(*sim.Result) error) *Census {
 	opts = resolveSymmetry(b, opts)
 	table := newPruneTable(opts.PruneTableEntries)
@@ -452,5 +452,5 @@ func pruneCensus(b Builder, opts Options, check func(*sim.Result) error) *Census
 	if !ok {
 		return sequential()
 	}
-	return stealCensus(b, opts, check, table, items, workers)
+	return newStealPool(b, opts, check, table, items).census(workers)
 }

@@ -11,24 +11,34 @@ import (
 	"repro/internal/sim"
 )
 
-// Work-stealing parallel pruned census. The frontier split hands each
-// worker pool a starting queue of subtree roots, but fixed roots load-
-// balance badly: pruning makes subtree costs wildly uneven (a root
-// whose state was already tabled is nearly free), so some workers
-// drain their share early and idle. Here an idle pool instead makes
-// busy workers DONATE: when the shared queue runs dry and a worker
-// goes hungry, each busy engine, at its next backtrack, splits off
-// every untried child of its shallowest open frame as new queue items
-// and keeps walking its current branch.
+// The work-stealing pool: the one driver of every supervised census
+// that splits the tree into frontier roots — the pruned parallel Run
+// and RunCheckpointed alike. The frontier split hands the pool a
+// starting queue of subtree roots, but fixed roots load-balance badly:
+// pruning makes subtree costs wildly uneven (a root whose state was
+// already tabled is nearly free), so some workers drain their share
+// early and idle. Here an idle pool instead makes busy workers DONATE:
+// when the shared queue runs dry and a worker goes hungry, each busy
+// engine, at its next backtrack, splits off every untried child of its
+// shallowest open frame as new queue items and keeps walking its
+// current branch.
+//
+// The pool keeps a per-root ledger: every item carries its frontier
+// root's index (donated items inherit their donor's), and each root
+// has one accumulator and one count of open items. A root settles when
+// its last item resolves; its sink then fires exactly once — the
+// supervisor event and, for a checkpointed census, the root's record.
+// The census is folded from the ledger in DFS root order (foldCensus),
+// the same fold DistPlan.Merge applies to remote summaries.
 //
 // Exactly-once accounting under donation, retry and stall-requeue:
 //
 //   - Every queue item is resolved exactly once (first completing
 //     CURRENT-generation attempt wins; the generation counter bumps on
 //     every claim, and a stale straggler's result is discarded even if
-//     complete — unlike plain supervised roots, a stale attempt is NOT
-//     interchangeable with the live one, because the live one may have
-//     donated children the straggler would count itself).
+//     complete — a stale attempt is NOT interchangeable with the live
+//     one, because the live one may have donated children the
+//     straggler would count itself).
 //   - A donation is logged in the item's skip set (keyed by the
 //     donated child's schedule prefix) before the child is enqueued.
 //     Later attempts of the donor item consult the log and excise
@@ -52,6 +62,7 @@ import (
 type stealItem struct {
 	pool   *stealPool
 	idx    int // creation sequence; only feeds backoff jitter
+	root   int // frontier-root index; donated items inherit their donor's
 	prefix []Choice
 	donor  int // worker that donated it; -1 for frontier roots
 
@@ -62,6 +73,26 @@ type stealItem struct {
 	queued   bool            // currently sitting in pool.queue
 	skip     map[string]bool // donation log: child prefixes excised from this item
 	skipSeqs [][]Choice      // the same donated prefixes as schedules, for shadows
+}
+
+// rootState is one frontier root's ledger entry, and the per-root
+// record foldCensus reads. The root's items merge into acc; open counts
+// the items still unresolved, and the root settles when it reaches
+// zero. failed lists the root's items lost after the attempt budget —
+// acc then covers the rest of the subtree, and the census reports the
+// deficit. A root credited from a checkpoint or a remote worker enters
+// the ledger already settled.
+type rootState struct {
+	acc     *summary
+	open    int
+	capped  bool
+	failed  []RootFailure
+	settled bool
+}
+
+// settled is the ledger entry of a root whose summary is already known.
+func (r RootSummary) settled(b Builder, opts Options) rootState {
+	return rootState{acc: r.toSummary(b, opts), capped: r.Capped, settled: true}
 }
 
 // skips reports whether the child prefix key was donated away by an
@@ -156,17 +187,23 @@ type stealPool struct {
 	opts  Options
 	check func(*sim.Result) error
 	table *pruneTable
+	items []frontierItem
+	// orbit, when non-nil (symmetry resolved), partitions the roots into
+	// orbit representatives, the only roots ever enqueued, and twins,
+	// which the fold credits from their representative (orbit.go).
+	orbit *orbitInfo
+	// sink, when non-nil, receives every root that settles with no lost
+	// item, exactly once, from a worker goroutine with no pool lock held.
+	sink func(root int, r RootSummary)
 
 	mu          sync.Mutex
 	cond        *sync.Cond
 	queue       []*stealItem
-	outstanding int // unresolved items (queued, claimed or donated)
-	waiting     int // workers parked on an empty queue
+	roots       []rootState // the ledger, indexed like items
+	outstanding int         // unresolved items (queued, claimed or donated)
+	waiting     int         // workers parked on an empty queue
 	itemSeq     int
 	shutdown    bool // ctx cancelled: workers drain out
-	total       *summary
-	capped      bool
-	failed      []RootFailure
 	claims      map[*stealClaim]struct{}
 	nextWorker  int
 
@@ -182,32 +219,33 @@ type stealPool struct {
 	finOnce  sync.Once
 }
 
-// stealCensus runs the shared-table pruned census over the frontier
-// items on a work-stealing pool and assembles the Census. With
-// symmetry resolved, the frontier is orbit-partitioned first: only one
-// representative per symmetry orbit is enqueued, and its twins are
-// credited from the table after the pool drains (orbit.go).
-func stealCensus(b Builder, opts Options, check func(*sim.Result) error, table *pruneTable, items []frontierItem, workers int) *Census {
+// newStealPool prepares a census of the split frontier items on the
+// pool: an empty ledger entry per item and, with symmetry resolved, the
+// orbit partition. Callers may pre-settle ledger entries (roots
+// credited from a checkpoint) and set a sink before calling census.
+func newStealPool(b Builder, opts Options, check func(*sim.Result) error, table *pruneTable, items []frontierItem) *stealPool {
 	cfg := opts.supervise()
 	p := &stealPool{
 		ctx: opts.ctx(), cfg: cfg, b: cfg.wrapChaos(b), opts: opts,
-		check: check, table: table, total: newSummary(),
+		check: check, table: table, items: items, roots: make([]rootState, len(items)),
 		claims: make(map[*stealClaim]struct{}), finished: make(chan struct{}),
 	}
 	p.cond = sync.NewCond(&p.mu)
-	var orbit *orbitInfo
 	if opts.canon != nil {
-		orbit = orbitPartition(b, opts, items)
+		p.orbit = orbitPartition(b, opts, items)
 	}
-	for i, it := range items {
-		if it.prefix == nil {
-			p.total.addTerminal(*it.leaf, check)
+	return p
+}
+
+// census explores every unsettled orbit-representative root on the
+// given number of workers, then folds the ledger into the census.
+func (p *stealPool) census(workers int) *Census {
+	for i, it := range p.items {
+		if it.prefix == nil || p.roots[i].settled || (p.orbit != nil && p.orbit.rep[i] != i) {
 			continue
 		}
-		if orbit != nil && orbit.rep[i] != i {
-			continue // symmetric twin: credited from its representative after the drain
-		}
-		p.queue = append(p.queue, &stealItem{pool: p, idx: p.itemSeq, prefix: it.prefix, donor: -1, queued: true})
+		p.roots[i] = rootState{acc: newSummary(), open: 1}
+		p.queue = append(p.queue, &stealItem{pool: p, idx: p.itemSeq, root: i, prefix: it.prefix, donor: -1, queued: true})
 		p.itemSeq++
 	}
 	p.outstanding = len(p.queue)
@@ -217,7 +255,7 @@ func stealCensus(b Builder, opts Options, check func(*sim.Result) error, table *
 			p.wg.Add(1)
 			go p.worker(w)
 		}
-		if cfg.stall > 0 {
+		if p.cfg.stall > 0 {
 			p.wg.Add(1)
 			go p.watchdog()
 		}
@@ -236,103 +274,67 @@ func stealCensus(b Builder, opts Options, check func(*sim.Result) error, table *
 		p.finish()
 	}
 
-	p.mu.Lock()
-	cancelled := p.outstanding > 0
-	p.mu.Unlock()
-
-	var orbitSkips uint64
-	if orbit != nil && !cancelled {
-		orbitSkips, cancelled = p.creditTwins(items, orbit)
+	c, orbitSkips := foldCensus(p.items, p.roots, p.check, p.orbit, p.opts.canon)
+	if p.table != nil {
+		st := p.table.statsSnapshot()
+		st.Donations = p.donations.Load()
+		st.Steals = p.steals.Load()
+		st.OrbitSkips = orbitSkips
+		p.opts.markReducers(st)
+		c.Prune = st
 	}
-
-	p.mu.Lock()
-	failed := p.failed
-	capped := p.capped
-	p.mu.Unlock()
-	exhaustive := !cancelled && !capped && len(failed) == 0
-	c := censusFrom(p.total, exhaustive)
-	c.FailedRoots = failed
-	c.Errors = failureStrings(failed)
-	c.Cancelled = cancelled
-	st := table.statsSnapshot()
-	st.Donations = p.donations.Load()
-	st.Steals = p.steals.Load()
-	st.OrbitSkips = orbitSkips
-	opts.markReducers(st)
-	c.Prune = st
 	return c
 }
 
-// creditTwins settles the orbit twins after the pool has drained. The
-// normal path is a table lookup: the representative's fully explored
-// root subtree was published under the shared canonical key, and the
-// twin merges it renamed into its own orientation — the identical
-// translation a table hit at the twin's root node performs, so counts
-// are bit-identical to enqueuing the twin. When the entry is missing
-// (the rep's root frame was poisoned by a donation, evicted, or its
-// item failed) the twin falls back to a direct exploration with the
-// supervisor's retry budget — partitioning degrades, counts never do.
-// It returns how many twins were credited without exploration and
-// whether the context cancelled the settling mid-way.
-func (p *stealPool) creditTwins(items []frontierItem, orbit *orbitInfo) (skips uint64, cancelled bool) {
+// foldCensus builds the census of a split frontier in DFS root order:
+// leaves are classified directly, a settled root contributes its
+// summary and its lost items, and an orbit twin with no record of its
+// own is credited its representative's summary renamed into the twin's
+// orientation (orbitRenamerRaw) — the translation a table hit at the
+// twin's root would perform, so counts stay bit-identical. A twin
+// whose representative lost items shares that disposition; the
+// representative already reports the deficit. An unsettled root marks
+// the census cancelled. It also returns the number of credited twins.
+// The steal pool and DistPlan.Merge both fold through here.
+func foldCensus(items []frontierItem, roots []rootState, check func(*sim.Result) error, orbit *orbitInfo, canon *sim.Canonicalizer) (*Census, uint64) {
+	total := newSummary()
+	capped, cancelled := false, false
+	var failures []RootFailure
+	var twins uint64
 	for i, it := range items {
-		if it.prefix == nil || orbit.rep[i] == i {
+		r := &roots[i]
+		switch {
+		case it.prefix == nil:
+			total.addTerminal(*it.leaf, check)
+			continue
+		case r.settled:
+			if r.acc != nil {
+				total.merge(r.acc)
+			}
+			failures = append(failures, r.failed...)
+		case orbit != nil && orbit.rep[i] != i:
+			j := orbit.rep[i]
+			r = &roots[j]
+			if !r.settled {
+				cancelled = true
+				continue
+			}
+			if len(r.failed) > 0 {
+				continue
+			}
+			total.mergeRenamed(r.acc, orbitRenamerRaw(canon, orbit.perm[j], orbit.perm[i]))
+			twins++
+		default:
+			cancelled = true
 			continue
 		}
-		if p.ctx.Err() != nil {
-			return skips, true
-		}
-		if s, hit := p.table.get(orbit.key[i]); hit {
-			p.total.mergeRenamed(s, orbitRenamer(p.opts.canon, orbit.perm[i]))
-			if orbit.perm[i] != 0 {
-				p.table.symHits.Add(1)
-			}
-			if s.complete+s.incomplete >= p.opts.MaxRuns {
-				p.capped = true
-			}
-			skips++
-			continue
-		}
-		if p.exploreTwin(i, it.prefix) {
-			return skips, true
-		}
+		capped = capped || r.capped
 	}
-	return skips, false
-}
-
-// exploreTwin is creditTwins' fallback: walk the twin's subtree on the
-// calling goroutine, sharing the transposition table, with the
-// supervisor's retry-with-backoff policy. Reports whether the context
-// cancelled the attempt.
-func (p *stealPool) exploreTwin(idx int, prefix []Choice) (cancelled bool) {
-	var msg string
-	for att := 1; att <= p.cfg.maxAttempts; att++ {
-		p.cfg.stats.Attempts.Add(1)
-		if att > 1 {
-			p.cfg.stats.Retries.Add(1)
-			if !sleepCtx(p.ctx, p.cfg.backoff(idx, att)) {
-				return true
-			}
-		}
-		en := &engine{
-			b: p.b, opts: p.opts, acc: newSummary(), check: p.check,
-			table: p.table, root: prefix, ctx: p.ctx,
-		}
-		msg = runRecovering(en)
-		if msg == "" {
-			if en.cancelled {
-				return true
-			}
-			p.total.merge(en.acc)
-			if en.capped {
-				p.capped = true
-			}
-			return false
-		}
-	}
-	p.cfg.stats.Failed.Add(1)
-	p.failed = append(p.failed, RootFailure{Prefix: prefix, Attempts: p.cfg.maxAttempts, Err: msg})
-	return false
+	c := censusFrom(total, !capped && !cancelled && len(failures) == 0)
+	c.FailedRoots = failures
+	c.Errors = failureStrings(failures)
+	c.Cancelled = cancelled
+	return c, twins
 }
 
 func (p *stealPool) finish() { p.finOnce.Do(func() { close(p.finished) }) }
@@ -405,6 +407,7 @@ func (p *stealPool) attempt(workerID int, it *stealItem) {
 	hasSkips := len(it.skip) > 0
 	p.mu.Unlock()
 	p.cfg.stats.Attempts.Add(1)
+	p.cfg.emit(Event{Kind: EventClaim, Root: it.root, Attempt: att})
 
 	cctx, cancel := context.WithCancel(p.ctx)
 	defer cancel()
@@ -457,28 +460,40 @@ func runRecovering(en *engine) (panicMsg string) {
 	return ""
 }
 
-// resolve merges a completed attempt, first CURRENT-generation
-// completion wins: a straggler from a superseded generation is
-// discarded because the live generation may have donated children the
-// straggler walked itself.
+// resolve merges a completed attempt into its root's accumulator,
+// first CURRENT-generation completion wins: a straggler from a
+// superseded generation is discarded because the live generation may
+// have donated children the straggler walked itself.
 func (p *stealPool) resolve(it *stealItem, gen int, en *engine) {
 	p.mu.Lock()
 	if it.done || it.current != gen {
 		p.mu.Unlock()
 		return
 	}
-	it.done = true
-	p.total.merge(en.acc)
-	if en.capped {
-		p.capped = true
-	}
-	p.settleLocked(it)
+	r := &p.roots[it.root]
+	r.acc.merge(en.acc)
+	r.capped = r.capped || en.capped
+	settled := p.settleLocked(it)
 	p.mu.Unlock()
+	if settled {
+		p.fire(it.root)
+	}
+}
+
+// failLocked settles it as permanently lost; callers hold p.mu and
+// handle the result like settleLocked's.
+func (p *stealPool) failLocked(it *stealItem, msg string) bool {
+	p.cfg.stats.Failed.Add(1)
+	r := &p.roots[it.root]
+	r.failed = append(r.failed, RootFailure{Prefix: it.prefix, Attempts: it.attempts, Err: msg})
+	return p.settleLocked(it)
 }
 
 // settleLocked finishes bookkeeping for a resolved (merged or failed)
-// item; callers hold p.mu.
-func (p *stealPool) settleLocked(it *stealItem) {
+// item and reports whether it was its root's last open item; callers
+// hold p.mu and, on true, call settled once they have released it.
+func (p *stealPool) settleLocked(it *stealItem) bool {
+	it.done = true
 	p.outstanding--
 	for cl := range p.claims {
 		if cl.it == it {
@@ -489,6 +504,26 @@ func (p *stealPool) settleLocked(it *stealItem) {
 	p.cond.Broadcast()
 	if p.outstanding == 0 {
 		p.finish()
+	}
+	r := &p.roots[it.root]
+	r.open--
+	r.settled = r.open == 0
+	return r.settled
+}
+
+// fire runs root i's sink, exactly once, when its last item resolves:
+// the supervisor event and, for a root with no lost item, the pool's
+// sink. The entry is final by now, so it is read unlocked.
+func (p *stealPool) fire(i int) {
+	r := &p.roots[i]
+	if len(r.failed) > 0 {
+		f := r.failed[0]
+		p.cfg.emit(Event{Kind: EventFailed, Root: i, Attempt: f.Attempts, Err: f.Err})
+		return
+	}
+	p.cfg.emit(Event{Kind: EventResolved, Root: i})
+	if p.sink != nil {
+		p.sink(i, rootSummaryOf(r.acc, r.capped))
 	}
 }
 
@@ -507,15 +542,16 @@ func (p *stealPool) retryOrFail(it *stealItem, gen, att int, msg string) {
 		return
 	}
 	if it.attempts >= p.cfg.maxAttempts {
-		p.cfg.stats.Failed.Add(1)
-		it.done = true
-		p.failed = append(p.failed, RootFailure{Prefix: it.prefix, Attempts: it.attempts, Err: msg})
-		p.settleLocked(it)
+		settled := p.failLocked(it, msg)
 		p.mu.Unlock()
+		if settled {
+			p.fire(it.root)
+		}
 		return
 	}
 	p.mu.Unlock()
 	p.cfg.stats.Retries.Add(1)
+	p.cfg.emit(Event{Kind: EventRetry, Root: it.root, Attempt: att, Err: msg})
 	if !sleepCtx(p.ctx, p.cfg.backoff(it.idx, att+1)) {
 		return
 	}
@@ -532,11 +568,12 @@ func (p *stealPool) retryOrFail(it *stealItem, gen, att int, msg string) {
 }
 
 // donateFrom splits off every untried child of frame f (at the given
-// depth of en's walk) as new queue items, logging each in the item's
-// skip set first. It reports whether the frame's remaining children
-// are now excised from this walk — false only when the attempt lost
-// currency (superseded or resolved), in which case the walk continues
-// unchanged and its result will be discarded at resolve.
+// depth of en's walk) as new queue items of the same root, logging
+// each in the item's skip set first. It reports whether the frame's
+// remaining children are now excised from this walk — false only when
+// the attempt lost currency (superseded or resolved), in which case
+// the walk continues unchanged and its result will be discarded at
+// resolve.
 func (p *stealPool) donateFrom(en *engine, depth int, f *frame) bool {
 	it := en.item
 	p.mu.Lock()
@@ -564,9 +601,10 @@ func (p *stealPool) donateFrom(en *engine, depth int, f *frame) bool {
 		}
 		it.skip[key] = true
 		it.skipSeqs = append(it.skipSeqs, prefix)
-		p.queue = append(p.queue, &stealItem{pool: p, idx: p.itemSeq, prefix: prefix, donor: en.workerID, queued: true})
+		p.queue = append(p.queue, &stealItem{pool: p, idx: p.itemSeq, root: it.root, prefix: prefix, donor: en.workerID, queued: true})
 		p.itemSeq++
 		p.outstanding++
+		p.roots[it.root].open++
 		donated++
 	}
 	en.skipcheck = true
@@ -597,6 +635,8 @@ func (p *stealPool) watchdog() {
 		case <-p.ctx.Done():
 			return
 		case now := <-t.C:
+			// Events and sinks run once the lock is released.
+			var requeued, settled []int
 			p.mu.Lock()
 			for cl := range p.claims {
 				if cl.gone {
@@ -618,6 +658,7 @@ func (p *stealPool) watchdog() {
 				if it.attempts < p.cfg.maxAttempts {
 					if !it.queued {
 						p.cfg.stats.Requeues.Add(1)
+						requeued = append(requeued, it.root)
 						it.queued = true
 						p.queue = append(p.queue, it)
 						p.updateHungry()
@@ -627,18 +668,17 @@ func (p *stealPool) watchdog() {
 						p.nextWorker++
 						go p.worker(id)
 					}
-				} else {
-					p.cfg.stats.Failed.Add(1)
-					it.done = true
-					p.failed = append(p.failed, RootFailure{
-						Prefix:   it.prefix,
-						Attempts: it.attempts,
-						Err:      fmt.Sprintf("stalled: no heartbeat progress for %v", p.cfg.stall),
-					})
-					p.settleLocked(it)
+				} else if p.failLocked(it, fmt.Sprintf("stalled: no heartbeat progress for %v", p.cfg.stall)) {
+					settled = append(settled, it.root)
 				}
 			}
 			p.mu.Unlock()
+			for _, i := range requeued {
+				p.cfg.emit(Event{Kind: EventRequeue, Root: i})
+			}
+			for _, i := range settled {
+				p.fire(i)
+			}
 		}
 	}
 }

@@ -174,7 +174,7 @@ func TestRetriedDonorTableSoundness(t *testing.T) {
 		t.Helper()
 		p := &stealPool{
 			ctx: context.Background(), cfg: opts.supervise(), opts: opts,
-			check: disagreeCheck, table: table, total: newSummary(),
+			check: disagreeCheck, table: table,
 			claims: make(map[*stealClaim]struct{}), finished: make(chan struct{}),
 		}
 		p.cond = sync.NewCond(&p.mu)
@@ -242,7 +242,8 @@ func TestStealRetryStaleGeneration(t *testing.T) {
 	}))
 	p := &stealPool{
 		ctx: context.Background(), cfg: opts.supervise(), opts: opts,
-		total: newSummary(), claims: make(map[*stealClaim]struct{}), finished: make(chan struct{}),
+		roots:  []rootState{{acc: newSummary(), open: 1}},
+		claims: make(map[*stealClaim]struct{}), finished: make(chan struct{}),
 	}
 	p.cond = sync.NewCond(&p.mu)
 	it := &stealItem{pool: p, prefix: []Choice{{Pick: 0}}, donor: -1, queued: true}
@@ -260,17 +261,17 @@ func TestStealRetryStaleGeneration(t *testing.T) {
 	// spent: it must be a no-op, not a requeue or a RootFailure.
 	p.retryOrFail(it, 1, 1, "panic: stale straggler")
 	p.mu.Lock()
-	if it.done || len(p.failed) != 0 || len(p.queue) != 0 {
+	if it.done || len(p.roots[0].failed) != 0 || len(p.queue) != 0 {
 		p.mu.Unlock()
-		t.Fatalf("stale attempt settled the item: done=%v failed=%v queue=%d", it.done, p.failed, len(p.queue))
+		t.Fatalf("stale attempt settled the item: done=%v failed=%v queue=%d", it.done, p.roots[0].failed, len(p.queue))
 	}
 	p.mu.Unlock()
 	// The live attempt's completion still resolves the item.
 	p.resolve(it, 2, &engine{acc: newSummary()})
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if !it.done || p.outstanding != 0 || len(p.failed) != 0 {
-		t.Fatalf("live attempt did not resolve cleanly: done=%v outstanding=%d failed=%v", it.done, p.outstanding, p.failed)
+	if !it.done || p.outstanding != 0 || len(p.roots[0].failed) != 0 {
+		t.Fatalf("live attempt did not resolve cleanly: done=%v outstanding=%d failed=%v", it.done, p.outstanding, p.roots[0].failed)
 	}
 }
 

@@ -11,22 +11,23 @@ import (
 	"repro/internal/sim"
 )
 
-// This file is the supervision layer shared by every parallel walk
-// (streamed parallelVisit, pruned census, checkpointed census). The
-// engines stay exact enumerators; the supervisor wraps the dispatch of
-// frontier roots to workers with the machinery that keeps long censuses
-// alive: cooperative cancellation, capped retry with deterministic
-// backoff when a root's worker panics, a heartbeat-driven stall
-// watchdog that requeues roots whose workers stop advancing, and a
-// seeded chaos injector used by the tests to prove all of the above
-// preserves bit-identical censuses.
+// This file is the supervision policy shared by every parallel walk:
+// the work-stealing pool (steal.go) that drives every pooled census,
+// and the streamed parallelVisit sequencer. The engines stay exact
+// enumerators; the supervisor wraps the dispatch of work to workers
+// with the machinery that keeps long censuses alive: cooperative
+// cancellation, capped retry with deterministic backoff when a
+// worker panics, a heartbeat-driven stall watchdog that requeues work
+// whose workers stop advancing, and a seeded chaos injector used by
+// the tests to prove all of the above preserves bit-identical
+// censuses.
 //
-// Soundness rests on one invariant: a root is either fully explored by
-// exactly one successful attempt, or reported in FailedRoots — never
-// partially merged. Attempts are idempotent (every attempt replays the
-// same prefix through a fresh system), so retrying or racing a
-// requeued duplicate against a stalled straggler cannot change counts;
-// the first completed attempt wins and any later duplicate is dropped.
+// Soundness rests on one invariant: a unit of work is either fully
+// explored by exactly one successful attempt, or reported in
+// FailedRoots — never partially merged. Attempts are replays of the
+// same prefix through a fresh system, so retrying cannot change
+// counts; the pool's generation rule (steal.go) decides which of
+// several racing attempts counts.
 
 // Supervise configures the resilience policy of parallel exploration.
 // The zero value (or a nil Options.Supervision) means: 3 attempts per
@@ -60,8 +61,11 @@ type Supervise struct {
 	// lifecycle (claim, resolve, retry, requeue, failure) as it happens.
 	// It is called from worker goroutines, possibly concurrently, and
 	// must be fast and thread-safe; it must not call back into the walk.
-	// Events are advisory telemetry — they never affect counts. Only the
-	// pooled checkpoint path (RunCheckpointed) emits them today.
+	// Events are advisory telemetry — they never affect counts. Every
+	// pooled census (RunCheckpointed, and the pruned Run with more than
+	// one worker) emits them: a claim per item attempt, and one resolve
+	// or failure per frontier root once all its items have resolved.
+	// The streamed unpruned parallel Visit does not.
 	OnEvent func(Event)
 }
 
@@ -69,18 +73,19 @@ type Supervise struct {
 type EventKind uint8
 
 const (
-	// EventClaim: a worker claimed a root and began an attempt.
+	// EventClaim: a worker claimed a work item of the root (the root
+	// itself or a subtree donated out of it) and began an attempt.
 	EventClaim EventKind = iota + 1
-	// EventResolved: a root completed successfully (counted exactly once
-	// per root, however many attempts raced).
+	// EventResolved: every item of a root completed successfully
+	// (emitted exactly once per root, however many attempts raced).
 	EventResolved
 	// EventRetry: an attempt failed (panic) and the root was re-queued.
 	EventRetry
 	// EventRequeue: the stall watchdog abandoned a frozen attempt and
 	// re-queued the root.
 	EventRequeue
-	// EventFailed: the root was abandoned after the attempt budget; its
-	// subtree is the census's coverage deficit.
+	// EventFailed: a root settled with an item abandoned after the
+	// attempt budget; the lost items are the census's coverage deficit.
 	EventFailed
 )
 
@@ -338,280 +343,4 @@ func sleepCtx(ctx context.Context, d time.Duration) bool {
 	case <-ctx.Done():
 		return false
 	}
-}
-
-// rootClaim is one in-flight attempt at one root. hb is bumped by the
-// attempt's heartbeat (engine OnStep); last/lastAt/gone are watchdog
-// bookkeeping guarded by the supervisor mutex.
-type rootClaim struct {
-	root   int
-	cancel context.CancelFunc
-	hb     atomic.Int64
-	last   int64
-	lastAt time.Time
-	gone   bool
-}
-
-// superviseRoots runs task once per unresolved frontier root (leaves —
-// items with a nil prefix — are skipped; resolved[i], when non-nil,
-// pre-marks roots already done, e.g. credited from a checkpoint) on a
-// pool of workers with retry, backoff, and the stall watchdog per cfg.
-//
-// task explores one root; beat (nil unless the watchdog is armed) is
-// its progress heartbeat, and a true second return value means the
-// attempt observed ctx cancellation and its partial result must be
-// discarded. A panicking task fails the attempt; the root is re-queued
-// until cfg.maxAttempts, then reported in failed. onResolve, when
-// non-nil, is called once per root that completes successfully (from
-// worker goroutines, possibly concurrently).
-//
-// done[i] reports whether root i completed successfully; cancelled is
-// true when ctx ended the walk with roots outstanding.
-func superviseRoots[T any](
-	ctx context.Context,
-	items []frontierItem,
-	workers int,
-	cfg *supCfg,
-	resolved []bool,
-	task func(ctx context.Context, i int, beat func()) (T, bool),
-	onResolve func(i int, r T),
-) (results []T, done []bool, failed map[int]RootFailure, cancelled bool) {
-	n := len(items)
-	results = make([]T, n)
-	done = make([]bool, n)
-	failed = make(map[int]RootFailure)
-	attempts := make([]int, n)
-
-	// Queue capacity covers every possible enqueue (initial + retries +
-	// requeues share the per-root attempt budget) so sends never block.
-	queue := make(chan int, n*(cfg.maxAttempts+1)+workers)
-	remaining := 0
-	for i := range items {
-		if items[i].prefix == nil {
-			continue
-		}
-		if resolved != nil && resolved[i] {
-			done[i] = true
-			continue
-		}
-		remaining++
-		queue <- i
-	}
-	if remaining == 0 {
-		return results, done, failed, false
-	}
-
-	var (
-		mu       sync.Mutex
-		wg       sync.WaitGroup
-		claims   = make(map[*rootClaim]struct{})
-		finished = make(chan struct{})
-		finOnce  sync.Once
-	)
-	finish := func() { finOnce.Do(func() { close(finished) }) }
-
-	// resolve settles root i exactly once — first completion wins; a
-	// straggling duplicate attempt is dropped, and any other in-flight
-	// claim of the same root is cancelled so it stops promptly.
-	resolve := func(i int, r T, fail *RootFailure) {
-		mu.Lock()
-		if done[i] || remaining == 0 {
-			mu.Unlock()
-			return
-		}
-		done[i] = true
-		ok := fail == nil
-		if ok {
-			results[i] = r
-		} else {
-			failed[i] = *fail
-			cfg.stats.Failed.Add(1)
-		}
-		remaining--
-		rem := remaining
-		for cl := range claims {
-			if cl.root == i {
-				cl.cancel()
-			}
-		}
-		mu.Unlock()
-		if ok {
-			cfg.emit(Event{Kind: EventResolved, Root: i})
-		} else {
-			cfg.emit(Event{Kind: EventFailed, Root: i, Attempt: fail.Attempts, Err: fail.Err})
-		}
-		if ok && onResolve != nil {
-			onResolve(i, r)
-		}
-		if rem == 0 {
-			finish()
-		}
-	}
-
-	runTask := func(cctx context.Context, i int, beat func()) (r T, taskCancelled bool, panicMsg string) {
-		defer func() {
-			if p := recover(); p != nil {
-				panicMsg = fmt.Sprintf("panic: %v", p)
-			}
-		}()
-		r, taskCancelled = task(cctx, i, beat)
-		if panicMsg == "" && !taskCancelled {
-			return r, false, ""
-		}
-		return r, taskCancelled, panicMsg
-	}
-
-	var worker func()
-	worker = func() {
-		defer wg.Done()
-		for {
-			select {
-			case <-finished:
-				return
-			case <-ctx.Done():
-				return
-			case i := <-queue:
-				mu.Lock()
-				if done[i] {
-					mu.Unlock()
-					continue
-				}
-				attempts[i]++
-				a := attempts[i]
-				cctx, ccancel := context.WithCancel(ctx)
-				cl := &rootClaim{root: i, cancel: ccancel}
-				claims[cl] = struct{}{}
-				mu.Unlock()
-				cfg.stats.Attempts.Add(1)
-				cfg.emit(Event{Kind: EventClaim, Root: i, Attempt: a})
-				var beat func()
-				if cfg.stall > 0 {
-					beat = func() { cl.hb.Add(1) }
-				}
-				r, taskCancelled, panicMsg := runTask(cctx, i, beat)
-				mu.Lock()
-				delete(claims, cl)
-				mu.Unlock()
-				ccancel()
-				switch {
-				case panicMsg != "":
-					mu.Lock()
-					settled := done[i]
-					canRetry := attempts[i] < cfg.maxAttempts
-					mu.Unlock()
-					if settled {
-						continue
-					}
-					if canRetry {
-						cfg.stats.Retries.Add(1)
-						cfg.emit(Event{Kind: EventRetry, Root: i, Attempt: a, Err: panicMsg})
-						if !sleepCtx(ctx, cfg.backoff(i, a+1)) {
-							return
-						}
-						queue <- i
-					} else {
-						var zero T
-						resolve(i, zero, &RootFailure{
-							Prefix:   items[i].prefix,
-							Attempts: a,
-							Err:      panicMsg,
-						})
-					}
-				case taskCancelled:
-					// Partial attempt: either the whole walk is being
-					// cancelled (outer select exits next iteration) or
-					// this claim lost a race and the root is settled.
-				default:
-					resolve(i, r, nil)
-				}
-			}
-		}
-	}
-
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go worker()
-	}
-
-	// The watchdog samples every live claim's heartbeat; a claim frozen
-	// for cfg.stall is abandoned (its context cancelled so the stuck
-	// attempt dies as soon as it unsticks), the root re-queued if the
-	// attempt budget allows, and a replacement worker spawned so one
-	// wedged goroutine cannot shrink the pool. It runs inside wg so a
-	// late spawn can never race wg.Wait.
-	if cfg.stall > 0 {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			tick := cfg.stall / 4
-			if tick <= 0 {
-				tick = time.Millisecond
-			}
-			t := time.NewTicker(tick)
-			defer t.Stop()
-			for {
-				select {
-				case <-finished:
-					return
-				case <-ctx.Done():
-					return
-				case now := <-t.C:
-					type lostRoot struct {
-						i int
-						f RootFailure
-					}
-					var lost []lostRoot // resolve needs mu; settle after unlock
-					var requeued []int  // emit needs mu released
-					mu.Lock()
-					for cl := range claims {
-						if cl.gone {
-							continue
-						}
-						if v := cl.hb.Load(); cl.lastAt.IsZero() || v != cl.last {
-							cl.last, cl.lastAt = v, now
-							continue
-						}
-						if now.Sub(cl.lastAt) < cfg.stall {
-							continue
-						}
-						cl.gone = true
-						cl.cancel()
-						i := cl.root
-						if done[i] {
-							continue
-						}
-						if attempts[i] < cfg.maxAttempts {
-							cfg.stats.Requeues.Add(1)
-							requeued = append(requeued, i)
-							queue <- i
-							wg.Add(1)
-							go worker()
-						} else {
-							// No attempts left: settle the root as lost so
-							// the pool can still drain to completion.
-							lost = append(lost, lostRoot{i, RootFailure{
-								Prefix:   items[i].prefix,
-								Attempts: attempts[i],
-								Err:      fmt.Sprintf("stalled: no heartbeat progress for %v", cfg.stall),
-							}})
-						}
-					}
-					mu.Unlock()
-					for _, i := range requeued {
-						cfg.emit(Event{Kind: EventRequeue, Root: i})
-					}
-					var zero T
-					for _, l := range lost {
-						resolve(l.i, zero, &l.f)
-					}
-				}
-			}
-		}()
-	}
-
-	wg.Wait()
-	mu.Lock()
-	cancelled = remaining > 0
-	mu.Unlock()
-	return results, done, failed, cancelled
 }

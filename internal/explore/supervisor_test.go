@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/registers"
 	"repro/internal/sim"
 )
 
@@ -309,6 +310,32 @@ func TestCancelMidRun(t *testing.T) {
 	}
 }
 
+// TestCancelValence: Valence must honor an already-cancelled context —
+// a walk that takes seconds to reach its run budget returns at once.
+func TestCancelValence(t *testing.T) {
+	big := func() *sim.System { // 4 processes × 5 reads: ~1.2e10 interleavings
+		sys := sim.NewSystem()
+		r := registers.NewMWMR("r", 0)
+		sys.Add(r)
+		sys.SpawnN(4, func(id sim.ProcID) sim.Program {
+			return func(e *sim.Env) (sim.Value, error) {
+				for i := 0; i < 5; i++ {
+					r.Read(e)
+				}
+				return int(id), nil
+			}
+		})
+		return sys
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	start := time.Now()
+	Valence(big, Options{MaxRuns: 100_000, Context: ctx}, nil)
+	if d := time.Since(start); d > time.Second {
+		t.Fatalf("Valence on a cancelled context took %v", d)
+	}
+}
+
 // TestCancelCheckpointResumeBitIdentical: cancelling a checkpointed run
 // mid-flight must leave a loadable checkpoint whose resume completes to
 // the bit-identical census — the graceful-shutdown contract SIGINT
@@ -402,7 +429,7 @@ func TestCheckpointCorruptTolerated(t *testing.T) {
 func TestCheckpointDurableWrite(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "ck.json")
-	f := &ckFile{Key: 99, Done: map[string]ckRoot{"0": {Complete: 7}}}
+	f := &ckFile{Key: 99, Done: map[string]ckRoot{"0": {RootSummary: RootSummary{Complete: 7}}}}
 	if err := saveCheckpoint(path, f); err != nil {
 		t.Fatal(err)
 	}

@@ -14,10 +14,12 @@ import (
 //
 // Incomplete runs (depth bound hit) contribute the pseudo-fingerprint
 // "∞" so that non-terminating branches are visible in the valence.
+// A cancelled Options.Context stops the walk at the next run; the set
+// found so far is returned.
 func Valence(b Builder, opts Options, prefix []Choice) []string {
 	opts = opts.withDefaults()
 	set := make(map[string]bool)
-	en := &engine{b: b, opts: opts, root: prefix, visit: func(o Outcome) bool {
+	en := &engine{b: b, opts: opts, root: prefix, ctx: opts.Context, visit: func(o Outcome) bool {
 		if o.Result.Halted {
 			set["∞"] = true
 		} else {
@@ -32,16 +34,6 @@ func Valence(b Builder, opts Options, prefix []Choice) []string {
 	}
 	sort.Strings(out)
 	return out
-}
-
-func countCrashes(cs []Choice) int {
-	n := 0
-	for _, c := range cs {
-		if c.Crash {
-			n++
-		}
-	}
-	return n
 }
 
 // Bivalent reports whether at least two distinct decision fingerprints

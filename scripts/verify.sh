@@ -97,6 +97,24 @@ fi
 go run ./cmd/explore -protocol cas -k 5 -n 4 -crashes 1 -maxruns 100000000 \
 	-workers 4 -timeout 2s -bivalence=false -allow-partial >/dev/null
 
+echo "== checkpoint JSON smoke: -checkpoint -json keeps stdout a single JSON object"
+ck="$(mktemp -u)"
+go run ./cmd/explore -protocol cas -k 4 -n 3 -crashes 1 -prune -symmetry -workers 2 \
+	-checkpoint "$ck" -json | jq -e .complete >/dev/null
+rm -f "$ck"
+
+echo "== valence cancellation smoke: -timeout also stops the valence pass"
+bin="$(mktemp -d)"
+go build -o "$bin/explore" ./cmd/explore
+rc=0
+timeout 30 "$bin/explore" -protocol cas -k 6 -n 5 -crashes 1 -prune \
+	-maxruns 1000000000000 -timeout 5s >/dev/null 2>&1 || rc=$?
+rm -rf "$bin"
+if [ "$rc" -eq 124 ]; then
+	echo "verify: FAIL — text-mode census ignored -timeout during the valence pass" >&2
+	exit 1
+fi
+
 if [ -n "${VERIFY_BENCH_BASE:-}" ]; then
 	echo "== opt-in benchmark regression gate vs $VERIFY_BENCH_BASE"
 	scripts/bench_compare.sh "$VERIFY_BENCH_BASE"
