@@ -208,6 +208,26 @@ func BenchmarkExplore(b *testing.B) {
 	}
 }
 
+// BenchmarkSummaryMerge is the credit layer on its own: one table
+// hit's stored summary merged into a warm accumulator, the step every
+// pruned census repeats once per hit. The summary spans the outcome
+// alphabet of the symmetric CAS-consensus census; "renamed" credits it
+// through a non-identity permutation's ID table, as a symmetry hit at
+// a non-canonical orientation does.
+func BenchmarkSummaryMerge(b *testing.B) {
+	in := consensusMachineInstance(4, 3, 1)
+	for _, mode := range []string{"plain", "renamed"} {
+		b.Run(mode, func(b *testing.B) {
+			credit := explore.SummaryCredit(in.b, in.opts, mode == "renamed")
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				credit()
+			}
+		})
+	}
+}
+
 // BenchmarkResilience measures the supervision tax: the same parallel
 // census (the BENCH_explore election workload through the streaming
 // ParallelVisit path) run plain and with the supervisor fully armed —

@@ -118,14 +118,12 @@ type ckFile struct {
 // If the tree cannot be frontier-split under MaxRuns, it falls back to
 // a plain Run with no checkpointing (stats zero).
 func RunCheckpointed(b Builder, opts Options, check func(*sim.Result) error, ck Checkpoint) (*Census, CheckpointStats, error) {
-	opts = opts.withDefaults()
-	if opts.Prune {
-		// Resolve symmetry up front so the Canonicalizer is built and
-		// audited once and rides through Options into every root engine.
-		// A refusal also lands here (Symmetry flips off), making the
-		// checkpoint key fold the EFFECTIVE reducer set deterministically.
-		opts = resolveSymmetry(b, opts)
-	}
+	// Resolve symmetry up front so the Canonicalizer is built and
+	// audited once and rides through Options into every root engine,
+	// with the census's outcome interner. A refusal also lands here
+	// (Symmetry flips off), making the checkpoint key fold the
+	// EFFECTIVE reducer set deterministically.
+	opts = censusOptions(b, opts.withDefaults())
 	var stats CheckpointStats
 	workers := opts.workerCount()
 	items, ok := frontier(b, opts, workers)
@@ -256,16 +254,17 @@ func exploreRoot(ctx context.Context, b Builder, opts Options, check func(*sim.R
 	if en.cancelled {
 		return RootSummary{}, true
 	}
-	return rootSummaryOf(en.acc, en.capped), false
+	return rootSummaryOf(en.acc, opts.ids, en.capped), false
 }
 
-// rootSummaryOf flattens a subtree summary into its persisted form,
-// representatives reduced to their schedules.
-func rootSummaryOf(s *summary, capped bool) RootSummary {
+// rootSummaryOf flattens a subtree summary into its persisted form:
+// outcome IDs rendered to decision fingerprints, representatives
+// reduced to their schedules.
+func rootSummaryOf(s *summary, ids *outcomeIDs, capped bool) RootSummary {
 	out := RootSummary{
 		Complete:   s.complete,
 		Incomplete: s.incomplete,
-		Outcomes:   s.outcomes,
+		Outcomes:   ids.outcomeMap(s.outcomes),
 		Violations: s.violations,
 		Capped:     capped,
 	}
@@ -275,17 +274,19 @@ func rootSummaryOf(s *summary, capped bool) RootSummary {
 	return out
 }
 
-// toSummary rebuilds a summary from its persisted form, replaying the
+// toSummary rebuilds a summary from its persisted form, interning its
+// decision fingerprints in the census's outcome IDs and replaying the
 // recorded representative schedules to recover their Results.
 func (r RootSummary) toSummary(b Builder, opts Options) *summary {
 	s := &summary{
 		complete:   r.Complete,
 		incomplete: r.Incomplete,
-		outcomes:   make(map[string]int, len(r.Outcomes)),
 		violations: r.Violations,
 	}
 	for k, v := range r.Outcomes {
-		s.outcomes[k] = v
+		id := int(opts.ids.id(k))
+		s.grow(id + 1)
+		s.outcomes[id] = v
 	}
 	for _, sched := range r.Reps {
 		res, _ := replayPrefix(b, opts, sched)

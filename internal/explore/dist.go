@@ -71,10 +71,7 @@ type DistPlan struct {
 // the tree cannot be frontier-split under MaxRuns — the caller should
 // fall back to a plain local Run, which owns the cap semantics.
 func NewDistPlan(b Builder, opts Options, check func(*sim.Result) error) (*DistPlan, bool) {
-	opts = opts.withDefaults()
-	if opts.Prune {
-		opts = resolveSymmetry(b, opts)
-	}
+	opts = censusOptions(b, opts.withDefaults())
 	items, ok := frontier(b, opts, opts.workerCount())
 	if !ok {
 		return nil, false
@@ -195,7 +192,7 @@ func (p *DistPlan) Merge(done map[int]RootSummary, failed map[int]RootFailure) *
 			roots[i] = rootState{failed: []RootFailure{f}, settled: true}
 		}
 	}
-	c, orbitSkips := foldCensus(p.items, roots, p.check, p.orbit, p.opts.canon)
+	c, orbitSkips := foldCensus(p.items, roots, p.check, p.orbit, p.opts.ids)
 	if p.orbit != nil {
 		st := &PruneStats{OrbitSkips: orbitSkips}
 		p.opts.markReducers(st)
@@ -252,10 +249,7 @@ type SubtreeStats struct {
 // (lease revoked, shutdown) returns ctx's error after flushing the
 // checkpoint; the partial summary is discarded.
 func ExploreSubtree(ctx context.Context, b Builder, opts Options, check func(*sim.Result) error, prefix []Choice, ck SubtreeCheckpoint, beat func()) (RootSummary, SubtreeStats, error) {
-	opts = opts.withDefaults()
-	if opts.Prune {
-		opts = resolveSymmetry(b, opts)
-	}
+	opts = censusOptions(b, opts.withDefaults())
 	var stats SubtreeStats
 	var table *pruneTable
 	if opts.Prune {
@@ -374,7 +368,7 @@ func ExploreSubtree(ctx context.Context, b Builder, opts Options, check func(*si
 	for i, r := range done {
 		roots[i] = r.settled(b, opts)
 	}
-	c, _ := foldCensus(items, roots, check, nil, nil)
+	c, _ := foldCensus(items, roots, check, nil, opts.ids)
 	out := RootSummary{
 		Complete:   c.Complete,
 		Incomplete: c.Incomplete,

@@ -104,6 +104,9 @@ type engine struct {
 	me      *sim.MachineExec
 	meTried bool
 	snaps   sim.Snap
+	// rd is the reader each probe restores through; kept here so that
+	// passing it by pointer into the machines allocates nothing.
+	rd sim.SnapReader
 
 	// pool/item/attempt/workerID tie a work-stealing census engine to
 	// the steal pool (steal.go): hungry() polls are answered by donating
@@ -194,14 +197,12 @@ func (en *engine) run() {
 		if pruned != nil {
 			// A hit found under canonical keys may match at a different
 			// orientation than the stored subtree was published in; the
-			// stored outcome keys are in canonical coordinates, so merge
+			// stored outcomes are in canonical coordinates, so merge
 			// them back through the INVERSE of this node's orientation.
-			if en.canon != nil && en.pr.prunedPerm != 0 {
-				en.parentAcc().mergeRenamed(pruned, en.canon.OutcomeRenamerInv(en.pr.prunedPerm))
+			if en.pr.prunedPerm != 0 {
 				en.table.symHits.Add(1)
-			} else {
-				en.parentAcc().merge(pruned)
 			}
+			en.parentAcc().merge(pruned, en.opts.ids.renamerInv(en.pr.prunedPerm))
 			en.runs += pruned.complete + pruned.incomplete
 		} else {
 			en.terminal(res)
@@ -320,7 +321,8 @@ func (en *engine) initMachine() {
 func (en *engine) probeMachine() (*sim.Result, *summary) {
 	if d := len(en.frames) - 1; d >= 0 {
 		f := &en.frames[d]
-		en.me.Restore(en.snaps.ReaderAt(f.snapW, f.snapV))
+		en.rd = en.snaps.ReaderAt(f.snapW, f.snapV)
+		en.me.Restore(&en.rd)
 		en.plan = append(en.plan[:0], en.path[d:]...)
 		en.pr = prober{
 			en: en, sys: en.me.System(), plan: en.plan,
@@ -330,11 +332,12 @@ func (en *engine) probeMachine() (*sim.Result, *summary) {
 	} else {
 		// First probe (or a walk whose every frame was popped): replay
 		// the fixed root prefix from the initial snapshot.
-		en.me.Restore(en.snaps.ReaderAt(0, 0))
+		en.rd = en.snaps.ReaderAt(0, 0)
+		en.me.Restore(&en.rd)
 		en.plan = append(en.plan[:0], en.root...)
 		en.pr = prober{en: en, sys: en.me.System(), plan: en.plan, crashBuf: en.pr.crashBuf}
 	}
-	res, err := en.me.Run()
+	halted, err := en.me.Resume()
 	if err != nil {
 		panic(fmt.Sprintf("explore: probe failed: %v", err))
 	}
@@ -342,7 +345,13 @@ func (en *engine) probeMachine() (*sim.Result, *summary) {
 		panic(fmt.Sprintf("explore: builder is nondeterministic: planned pick not ready (schedule %s)",
 			FormatSchedule(en.plan[:en.pr.i])))
 	}
-	return res, en.pr.pruned
+	if en.pr.pruned != nil {
+		// A table hit ends the probe: the stored summary stands in for
+		// the subtree, so no Result is needed, and the halt BuildResult
+		// would apply is rewound by the next probe's Restore anyway.
+		return nil, en.pr.pruned
+	}
+	return en.me.BuildResult(halted), nil
 }
 
 // terminal delivers or accumulates one terminal run.
@@ -358,7 +367,7 @@ func (en *engine) terminal(res *sim.Result) {
 		}
 		return
 	}
-	if en.parentAcc().addTerminal(o, en.check) && en.scratch != nil {
+	if en.parentAcc().addTerminal(o, en.check, en.opts.ids) && en.scratch != nil {
 		// The Outcome was kept as a violation representative and its
 		// Result aliases the scratch: abandon the scratch to it and
 		// continue on a fresh one.
@@ -468,11 +477,7 @@ func (en *engine) creditChild(f *frame, c Choice) bool {
 		if !hit {
 			return false
 		}
-		if en.canon != nil && pr.permIdx != 0 {
-			f.acc.mergeRenamed(s, en.canon.OutcomeRenamerInv(int(pr.permIdx)))
-		} else {
-			f.acc.merge(s)
-		}
+		f.acc.merge(s, en.opts.ids.renamerInv(int(pr.permIdx)))
 		en.runs += s.complete + s.incomplete
 		en.table.sleepSkips.Add(1)
 		return true
@@ -582,30 +587,20 @@ func (en *engine) popFrame(publish bool) {
 	i := len(en.frames) - 1
 	f := &en.frames[i]
 	if f.acc != nil {
-		stored := false
 		if publish && f.hasKey && !f.donated {
-			if en.canon != nil && f.permIdx != 0 {
-				// The key is canonical but this walk accumulated outcome
-				// keys in its own (non-canonical) orientation: publish a
-				// COPY renamed into canonical coordinates, and keep the
-				// raw accumulator for the parent merge below.
-				pub := en.getSummary()
-				pub.mergeRenamed(f.acc, en.canon.OutcomeRenamer(int(f.permIdx)))
-				if !en.table.put(f.key, pub) {
-					en.putSummary(pub)
-				}
-			} else {
-				stored = en.table.put(f.key, f.acc)
-			}
+			// The table gets an exactly-sized frozen copy; the
+			// accumulator goes back to the freelist below. Under a
+			// canonical key at a non-identity orientation the walk
+			// accumulated outcomes in its own orientation, so the copy
+			// is renamed into canonical coordinates.
+			en.table.put(f.key, f.acc.frozen(en.opts.ids.renamer(int(f.permIdx))))
 		}
 		if i > 0 {
-			en.frames[i-1].acc.merge(f.acc)
+			en.frames[i-1].acc.merge(f.acc, nil)
 		} else {
-			en.acc.merge(f.acc)
+			en.acc.merge(f.acc, nil)
 		}
-		if !stored {
-			en.putSummary(f.acc)
-		}
+		en.putSummary(f.acc)
 		f.acc = nil
 	}
 	if f.pairs != nil {

@@ -168,10 +168,13 @@ type Options struct {
 	// canon is the validated Canonicalizer resolved from the builder's
 	// declared symmetry spec (resolveSymmetry); non-nil only when
 	// Symmetry survived validation and audit. symNote records why
-	// symmetry was refused. Both are plumbing, set by the census entry
-	// points, never by callers.
+	// symmetry was refused. All three fields are plumbing, set by the
+	// census entry points, never by callers.
 	canon   *sim.Canonicalizer
 	symNote string
+	// ids is the census's outcome interner, set by censusOptions and
+	// shared by every engine and fold of one census.
+	ids *outcomeIDs
 }
 
 // Tune is a functional option for exploration entry points that take

@@ -340,7 +340,7 @@ func TestPruneTableEvictionBudget(t *testing.T) {
 		}
 	}
 	table := newPruneTable(4)
-	en := &engine{b: rwAttempt, opts: opts, acc: newSummary(), check: check, table: table}
+	en := &engine{b: rwAttempt, opts: censusOptions(rwAttempt, opts), acc: newSummary(), check: check, table: table}
 	en.run()
 	if n := table.size(); n > 4 {
 		t.Fatalf("table holds %d entries, budget 4", n)

@@ -1,9 +1,5 @@
 package explore
 
-import (
-	"repro/internal/sim"
-)
-
 // Orbit-aware frontier generation. The transposition table already
 // collapses symmetric states mid-walk, but only after a worker has
 // claimed the root and replayed its prefix — and in the distributed
@@ -85,20 +81,7 @@ func rootOrbitKey(b Builder, opts Options, prefix []Choice) (tableKey, int, bool
 // RootSummary, never canonicalized): rename into canonical through
 // the rep's orientation, then out through the inverse of the twin's —
 // the publication and consumption steps of the shared-table flow,
-// composed.
-func orbitRenamerRaw(canon *sim.Canonicalizer, repPerm, twinPerm int) func(string) string {
-	if canon == nil {
-		return nil
-	}
-	into := canon.OutcomeRenamer(repPerm)
-	outOf := canon.OutcomeRenamerInv(twinPerm)
-	switch {
-	case into == nil && outOf == nil:
-		return nil
-	case into == nil:
-		return outOf
-	case outOf == nil:
-		return into
-	}
-	return func(key string) string { return outOf(into(key)) }
+// composed into one ID table (nil = identity).
+func orbitRenamerRaw(ids *outcomeIDs, repPerm, twinPerm int) []int32 {
+	return composeIDs(ids.renamer(repPerm), ids.renamerInv(twinPerm))
 }

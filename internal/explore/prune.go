@@ -1,6 +1,7 @@
 package explore
 
 import (
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -44,48 +45,59 @@ type tableKey struct {
 	faultRem int
 }
 
-// summary is the census of one fully explored subtree. The outcomes
-// map is allocated lazily on the first complete run: most frames in a
-// deep walk pop before seeing one, and engines recycle unpublished
-// summaries through a freelist, so the map is both rare and reused.
+// summary is the census of one fully explored subtree. Outcomes are a
+// count vector indexed by the census's outcome IDs (outcomes.go), and
+// every element at or past len(outcomes) — up to its capacity — is
+// zero, so grow re-extends without clearing. Engines recycle frame
+// accumulators through a freelist, whose vectors therefore stop
+// growing once they span the alphabet; a published summary instead
+// owns one exactly-sized vector (frozen).
 type summary struct {
 	complete   int
 	incomplete int
-	outcomes   map[string]int // complete runs by decision fingerprint
-	violations int            // complete runs failing the check
-	reps       []Outcome      // ≤ MaxRecordedViolations representatives
+	outcomes   []int     // complete runs by outcome ID
+	violations int       // complete runs failing the check
+	reps       []Outcome // ≤ MaxRecordedViolations representatives
 }
 
 func newSummary() *summary {
 	return &summary{}
 }
 
-// reset clears the summary for reuse, retaining the outcomes map's
-// buckets. Reps are zeroed before truncation so recycled summaries do
+// reset clears the summary for reuse, retaining the outcome vector's
+// capacity. Reps are zeroed before truncation so recycled summaries do
 // not pin retired Results.
 func (s *summary) reset() {
 	s.complete, s.incomplete, s.violations = 0, 0, 0
 	clear(s.outcomes)
+	s.outcomes = s.outcomes[:0]
 	for i := range s.reps {
 		s.reps[i] = Outcome{}
 	}
 	s.reps = s.reps[:0]
 }
 
-// addTerminal classifies one terminal run into the summary. retained
-// reports that the Outcome (and its Result) was stored as a violation
-// representative and must stay valid — the caller's cue to stop
-// recycling any scratch buffers the Result aliases.
-func (s *summary) addTerminal(o Outcome, check func(*sim.Result) error) (retained bool) {
+// grow extends the outcome vector to at least n entries.
+func (s *summary) grow(n int) {
+	if n > len(s.outcomes) {
+		s.outcomes = slices.Grow(s.outcomes, n-len(s.outcomes))[:n]
+	}
+}
+
+// addTerminal classifies one terminal run into the summary, interning
+// its decision fingerprint in ids. retained reports that the Outcome
+// (and its Result) was stored as a violation representative and must
+// stay valid — the caller's cue to stop recycling any scratch buffers
+// the Result aliases.
+func (s *summary) addTerminal(o Outcome, check func(*sim.Result) error, ids *outcomeIDs) (retained bool) {
 	if o.Result.Halted {
 		s.incomplete++
 		return false
 	}
 	s.complete++
-	if s.outcomes == nil {
-		s.outcomes = make(map[string]int)
-	}
-	s.outcomes[DecisionFingerprint(o.Result)]++
+	id := int(ids.id(DecisionFingerprint(o.Result)))
+	s.grow(id + 1)
+	s.outcomes[id]++
 	if check != nil {
 		if err := check(o.Result); err != nil {
 			s.violations++
@@ -98,16 +110,33 @@ func (s *summary) addTerminal(o Outcome, check func(*sim.Result) error) (retaine
 	return false
 }
 
-// merge folds t into s. t is never mutated: published table entries are
+// merge folds t into s with every outcome ID mapped through the ID
+// table ren; a nil ren is the identity, and the merge is then plain
+// vector addition. Renaming is the translation step of symmetry-
+// canonical table storage: a summary stored at canonical orientation π
+// holds outcomes renamed under π, so publishing renames under π and
+// consuming a hit renames under π⁻¹ (see engine.popFrame and
+// engine.run). Violation representatives keep their first-encounter
+// schedules unrenamed (the replayability contract is per-schedule, not
+// per-hit-point). t is never mutated: published table entries are
 // shared and must stay immutable.
-func (s *summary) merge(t *summary) {
+func (s *summary) merge(t *summary, ren []int32) {
 	s.complete += t.complete
 	s.incomplete += t.incomplete
-	if len(t.outcomes) > 0 && s.outcomes == nil {
-		s.outcomes = make(map[string]int)
-	}
-	for k, v := range t.outcomes {
-		s.outcomes[k] += v
+	if ren == nil {
+		s.grow(len(t.outcomes))
+		out := s.outcomes[:len(t.outcomes)]
+		for i, n := range t.outcomes {
+			out[i] += n
+		}
+	} else {
+		for i, n := range t.outcomes {
+			if n != 0 {
+				j := int(ren[i])
+				s.grow(j + 1)
+				s.outcomes[j] += n
+			}
+		}
 	}
 	s.violations += t.violations
 	for _, r := range t.reps {
@@ -122,36 +151,37 @@ func (s *summary) merge(t *summary) {
 	}
 }
 
-// mergeRenamed is merge with every outcome key mapped through rename —
-// the translation step of symmetry-canonical table storage. A summary
-// stored at canonical orientation π holds outcome keys renamed under π;
-// publishing merges under π, consuming a hit merges under π⁻¹ (see
-// engine.popFrame and engine.run). Counts transfer untouched; violation
-// representatives keep their first-encounter schedules unrenamed,
-// exactly like plain merge (the replayability contract is per-schedule,
-// not per-hit-point). A nil rename degrades to plain merge.
-func (s *summary) mergeRenamed(t *summary, rename func(string) string) {
-	if rename == nil {
-		s.merge(t)
-		return
+// frozen is the immutable copy of s that the table publishes, its
+// outcomes mapped through ren (nil = identity) into a vector sized to
+// the last nonzero count and allocated once.
+func (s *summary) frozen(ren []int32) *summary {
+	pub := &summary{complete: s.complete, incomplete: s.incomplete, violations: s.violations}
+	if len(s.reps) > 0 {
+		pub.reps = slices.Clone(s.reps)
 	}
-	s.complete += t.complete
-	s.incomplete += t.incomplete
-	if len(t.outcomes) > 0 && s.outcomes == nil {
-		s.outcomes = make(map[string]int)
-	}
-	for k, v := range t.outcomes {
-		s.outcomes[rename(k)] += v
-	}
-	s.violations += t.violations
-	for _, r := range t.reps {
-		if len(s.reps) >= MaxRecordedViolations {
-			break
-		}
-		if !s.hasRep(r) {
-			s.reps = append(s.reps, r)
+	n := 0
+	for i, c := range s.outcomes {
+		if c != 0 {
+			n = max(n, renameID(ren, i)+1)
 		}
 	}
+	if n > 0 {
+		pub.outcomes = make([]int, n)
+		for i, c := range s.outcomes {
+			if c != 0 {
+				pub.outcomes[renameID(ren, i)] += c
+			}
+		}
+	}
+	return pub
+}
+
+// renameID maps outcome ID i through the ID table ren (nil = identity).
+func renameID(ren []int32, i int) int {
+	if ren == nil {
+		return i
+	}
+	return int(ren[i])
 }
 
 func (s *summary) hasRep(o Outcome) bool {
@@ -369,8 +399,10 @@ func (o Options) markReducers(st *PruneStats) {
 	st.SymmetryNote = o.symNote
 }
 
-func censusFrom(acc *summary, exhaustive bool) *Census {
-	out := acc.outcomes
+// censusFrom renders an accumulated summary as a Census, outcome IDs
+// back to their decision fingerprints.
+func censusFrom(acc *summary, ids *outcomeIDs, exhaustive bool) *Census {
+	out := ids.outcomeMap(acc.outcomes)
 	if out == nil {
 		out = make(map[string]int)
 	}
@@ -425,6 +457,17 @@ func resolveSymmetry(b Builder, opts Options) Options {
 	return opts
 }
 
+// censusOptions resolves opts for a census that folds summaries: the
+// symmetry reducer when pruning, and the census's outcome interner,
+// which every engine, the steal pool and the fold share.
+func censusOptions(b Builder, opts Options) Options {
+	if opts.Prune {
+		opts = resolveSymmetry(b, opts)
+	}
+	opts.ids = newOutcomeIDs(opts.canon)
+	return opts
+}
+
 // pruneCensus is Run with transposition pruning, sequential or
 // parallel. The parallel walk shares one striped table across all
 // workers and balances load by work stealing (see steal.go): workers
@@ -433,13 +476,13 @@ func resolveSymmetry(b Builder, opts Options) Options {
 // idle. Retry with backoff, the stall watchdog and chaos injection
 // are the pool's, shared with RunCheckpointed.
 func pruneCensus(b Builder, opts Options, check func(*sim.Result) error) *Census {
-	opts = resolveSymmetry(b, opts)
+	opts = censusOptions(b, opts)
 	table := newPruneTable(opts.PruneTableEntries)
 	workers := opts.workerCount()
 	sequential := func() *Census {
 		en := &engine{b: b, opts: opts, acc: newSummary(), check: check, table: table, ctx: opts.Context}
 		en.run()
-		c := censusFrom(en.acc, !en.capped && !en.cancelled)
+		c := censusFrom(en.acc, opts.ids, !en.capped && !en.cancelled)
 		c.Cancelled = en.cancelled
 		c.Prune = table.statsSnapshot()
 		opts.markReducers(c.Prune)

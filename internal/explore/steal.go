@@ -274,7 +274,7 @@ func (p *stealPool) census(workers int) *Census {
 		p.finish()
 	}
 
-	c, orbitSkips := foldCensus(p.items, p.roots, p.check, p.orbit, p.opts.canon)
+	c, orbitSkips := foldCensus(p.items, p.roots, p.check, p.orbit, p.opts.ids)
 	if p.table != nil {
 		st := p.table.statsSnapshot()
 		st.Donations = p.donations.Load()
@@ -296,7 +296,7 @@ func (p *stealPool) census(workers int) *Census {
 // representative already reports the deficit. An unsettled root marks
 // the census cancelled. It also returns the number of credited twins.
 // The steal pool and DistPlan.Merge both fold through here.
-func foldCensus(items []frontierItem, roots []rootState, check func(*sim.Result) error, orbit *orbitInfo, canon *sim.Canonicalizer) (*Census, uint64) {
+func foldCensus(items []frontierItem, roots []rootState, check func(*sim.Result) error, orbit *orbitInfo, ids *outcomeIDs) (*Census, uint64) {
 	total := newSummary()
 	capped, cancelled := false, false
 	var failures []RootFailure
@@ -305,11 +305,11 @@ func foldCensus(items []frontierItem, roots []rootState, check func(*sim.Result)
 		r := &roots[i]
 		switch {
 		case it.prefix == nil:
-			total.addTerminal(*it.leaf, check)
+			total.addTerminal(*it.leaf, check, ids)
 			continue
 		case r.settled:
 			if r.acc != nil {
-				total.merge(r.acc)
+				total.merge(r.acc, nil)
 			}
 			failures = append(failures, r.failed...)
 		case orbit != nil && orbit.rep[i] != i:
@@ -322,7 +322,7 @@ func foldCensus(items []frontierItem, roots []rootState, check func(*sim.Result)
 			if len(r.failed) > 0 {
 				continue
 			}
-			total.mergeRenamed(r.acc, orbitRenamerRaw(canon, orbit.perm[j], orbit.perm[i]))
+			total.merge(r.acc, orbitRenamerRaw(ids, orbit.perm[j], orbit.perm[i]))
 			twins++
 		default:
 			cancelled = true
@@ -330,7 +330,7 @@ func foldCensus(items []frontierItem, roots []rootState, check func(*sim.Result)
 		}
 		capped = capped || r.capped
 	}
-	c := censusFrom(total, !capped && !cancelled && len(failures) == 0)
+	c := censusFrom(total, ids, !capped && !cancelled && len(failures) == 0)
 	c.FailedRoots = failures
 	c.Errors = failureStrings(failures)
 	c.Cancelled = cancelled
@@ -471,7 +471,7 @@ func (p *stealPool) resolve(it *stealItem, gen int, en *engine) {
 		return
 	}
 	r := &p.roots[it.root]
-	r.acc.merge(en.acc)
+	r.acc.merge(en.acc, nil)
 	r.capped = r.capped || en.capped
 	settled := p.settleLocked(it)
 	p.mu.Unlock()
@@ -523,7 +523,7 @@ func (p *stealPool) fire(i int) {
 	}
 	p.cfg.emit(Event{Kind: EventResolved, Root: i})
 	if p.sink != nil {
-		p.sink(i, rootSummaryOf(r.acc, r.capped))
+		p.sink(i, rootSummaryOf(r.acc, p.opts.ids, r.capped))
 	}
 }
 

@@ -5,6 +5,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"repro/internal/sim"
 )
 
 // forceDonation makes every steal pool report hungry for the duration
@@ -129,7 +131,7 @@ func TestStealCensusChaosBitIdentical(t *testing.T) {
 //     donated subtree a second time on top of the donated item's walk.
 func TestRetriedDonorTableSoundness(t *testing.T) {
 	b := wideTree
-	opts := Options{MaxCrashes: 1}.withDefaults().With(WithPrune())
+	opts := censusOptions(b, Options{MaxCrashes: 1}.withDefaults().With(WithPrune()))
 
 	// Reference: a full sequential pruned walk, keeping its table.
 	refTable := newPruneTable(0)
@@ -138,7 +140,7 @@ func TestRetriedDonorTableSoundness(t *testing.T) {
 	if full.capped || full.cancelled {
 		t.Fatal("reference walk did not complete")
 	}
-	want := censusFrom(full.acc, true)
+	want := censusFrom(full.acc, opts.ids, true)
 	if want.ViolationRuns == 0 {
 		t.Fatal("reference census found no violations; test tree too tame")
 	}
@@ -194,9 +196,9 @@ func TestRetriedDonorTableSoundness(t *testing.T) {
 			t.Fatal("split walks did not complete")
 		}
 		total := newSummary()
-		total.merge(donor.acc)
-		total.merge(den.acc)
-		return censusFrom(total, true)
+		total.merge(donor.acc, nil)
+		total.merge(den.acc, nil)
+		return censusFrom(total, opts.ids, true)
 	}
 
 	// Hazard 1: fresh table. The donor's ancestor frames of the donated
@@ -216,9 +218,10 @@ func TestRetriedDonorTableSoundness(t *testing.T) {
 					s.complete, s.incomplete, s.violations, k, ref.complete, ref.incomplete, ref.violations)
 				continue
 			}
-			for o, n := range ref.outcomes {
-				if s.outcomes[o] != n {
-					t.Errorf("split walk outcome histogram %v under key %+v, want %v", s.outcomes, k, ref.outcomes)
+			split, full := opts.ids.outcomeMap(s.outcomes), opts.ids.outcomeMap(ref.outcomes)
+			for o, n := range full {
+				if split[o] != n {
+					t.Errorf("split walk outcome histogram %v under key %+v, want %v", split, k, full)
 					break
 				}
 			}
@@ -277,7 +280,9 @@ func TestStealRetryStaleGeneration(t *testing.T) {
 
 // TestPruneTableHitAllocFree: a transposition-table hit — the inner
 // loop of every pruned walk — must not allocate: lookup, stat counting
-// and shard selection all run on preallocated state.
+// and shard selection all run on preallocated state, and crediting the
+// hit's summary into a warm accumulator is vector addition, renamed or
+// not.
 func TestPruneTableHitAllocFree(t *testing.T) {
 	table := newPruneTable(0)
 	key := tableKey{fp: 0x9e3779b97f4a7c15, depthRem: 40, crashRem: 1}
@@ -291,5 +296,58 @@ func TestPruneTableHitAllocFree(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("prune-table hit allocates %.1f objects, want 0", allocs)
+	}
+
+	// A census over three symmetric processes deciding their own ids.
+	spec := &sim.Symmetry{
+		Perms: sim.FullPerms(3),
+		RenameOutcome: func(key string, perm []sim.ProcID) string {
+			return sim.RenameIntKey(key, func(v int) int { return int(perm[v]) })
+		},
+	}
+	canon, err := sim.NewCanonicalizer(wideTree(), spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ids := newOutcomeIDs(canon)
+	stored := newSummary()
+	for _, k := range []string{"[0]", "[0 1]", "[2 2 2]"} {
+		id := int(ids.id(k))
+		stored.grow(id + 1)
+		stored.outcomes[id] = id + 1
+		stored.complete += id + 1
+	}
+	hitKey := tableKey{fp: 0x51ed27, depthRem: 12}
+	table.put(hitKey, stored.frozen(nil))
+	acc := newSummary()
+	acc.merge(stored, nil) // warm: the accumulator spans the alphabet
+	allocs = testing.AllocsPerRun(200, func() {
+		s, ok := table.get(hitKey)
+		if !ok {
+			t.Fatal("seeded key missed")
+		}
+		acc.merge(s, nil)
+	})
+	if allocs != 0 {
+		t.Fatalf("hit credit allocates %.1f objects, want 0", allocs)
+	}
+
+	k := canon.NumPerms() - 1
+	ren := ids.renamerInv(k)
+	if ren == nil {
+		t.Fatal("no ID table for a non-identity permutation")
+	}
+	moved := false
+	for id, to := range ren {
+		moved = moved || int(to) != id
+	}
+	if !moved {
+		t.Fatalf("permutation %d fixes every outcome ID; the renamed merge would test nothing", k)
+	}
+	allocs = testing.AllocsPerRun(200, func() {
+		acc.merge(stored, ids.renamerInv(k))
+	})
+	if allocs != 0 {
+		t.Fatalf("renamed merge allocates %.1f objects, want 0", allocs)
 	}
 }

@@ -185,7 +185,8 @@ func TestFingerprintSnapshotRestore(t *testing.T) {
 				t.Fatal("snapshot point never reached")
 			}
 			fp1, v1 := res1.Fingerprint, fmt.Sprint(res1.Values)
-			me.Restore(snap.ReaderAt(0, 0))
+			rd := snap.ReaderAt(0, 0)
+			me.Restore(&rd)
 			res2, err := me.Run()
 			if err != nil {
 				t.Fatal(err)

@@ -310,21 +310,25 @@ func (m *MachineExec) System() *System { return m.sys }
 // Run executes from the current state until the run ends (all
 // processes done, scheduler halt, or step budget) and returns the
 // Result, exactly as System.Run would from that state. After a Restore
-// it can be called again for the next episode.
+// it can be called again for the next episode. Run is Resume followed
+// by BuildResult.
 func (m *MachineExec) Run() (*Result, error) {
-	halted, err := m.loop()
+	halted, err := m.Resume()
 	if err != nil {
 		return nil, err
 	}
-	return m.sys.buildResult(&m.cfg, m.ready, halted, func(id ProcID) {
-		m.sys.machineCrash(id, ErrHalted)
-	}), nil
+	return m.BuildResult(halted), nil
 }
 
-// loop is the direct-dispatch twin of System.Run's scheduling loop:
+// Resume is the direct-dispatch twin of System.Run's scheduling loop:
 // same decision order (total-step bound, fault plan, scheduler, per-
-// process bound), same step semantics, no goroutines or channels.
-func (m *MachineExec) loop() (halted bool, err error) {
+// process bound), same step semantics, no goroutines or channels. It
+// executes from the current state until the run ends and reports
+// whether it ended by a halt (scheduler or step budget). It builds no
+// Result: a caller that discards the episode and Restores next — an
+// explorer whose probe ended in a table hit — skips BuildResult, and
+// with it the halt of the ready processes, entirely.
+func (m *MachineExec) Resume() (halted bool, err error) {
 	s, cfg := m.sys, &m.cfg
 	for {
 		if s.steps >= cfg.MaxTotalSteps {
@@ -364,6 +368,17 @@ func (m *MachineExec) loop() (halted bool, err error) {
 			m.ready = insertReady(m.ready, p.id)
 		}
 	}
+}
+
+// BuildResult builds the Result of the episode Resume just ended,
+// exactly as System.Run would: on a halt every still-ready process is
+// stopped with ErrHalted first. Everything it touches (process status,
+// errors, the ready set, the fingerprint cache) is rewound by the next
+// Restore.
+func (m *MachineExec) BuildResult(halted bool) *Result {
+	return m.sys.buildResult(&m.cfg, m.ready, halted, func(id ProcID) {
+		m.sys.machineCrash(id, ErrHalted)
+	})
 }
 
 // step executes one granted shared-memory step of p, mirroring
@@ -490,8 +505,12 @@ func (m *MachineExec) Snapshot(sn *Snap) {
 // Restore rewinds the execution to a snapshot taken by Snapshot,
 // rebuilding the ready set and pending footprints. The snapshot stays
 // valid (reads do not consume the arena), so one snapshot can be
-// restored many times — the core of in-place backtracking.
-func (m *MachineExec) Restore(r SnapReader) {
+// restored many times — the core of in-place backtracking. r is
+// advanced past the snapshot. It is passed through the Machine and
+// Restorable interfaces, so a reader in a local variable would move to
+// the heap: callers that restore per probe keep it in a long-lived
+// field, and a restore then allocates nothing.
+func (m *MachineExec) Restore(r *SnapReader) {
 	s := m.sys
 	s.steps = r.Int()
 	m.ready = m.ready[:0]
@@ -509,16 +528,16 @@ func (m *MachineExec) Restore(r SnapReader) {
 		} else {
 			p.err = nil
 		}
-		p.machine.Restore(&r)
+		p.machine.Restore(r)
 		if !p.done {
 			m.ready = append(m.ready, p.id)
 			p.pendingObj = p.machine.Pending().Obj.Name()
 		}
 	}
 	for _, name := range s.sortedNames() {
-		s.objects[name].(Restorable).RestoreState(&r)
+		s.objects[name].(Restorable).RestoreState(r)
 	}
 	if s.fingerprint {
-		s.fpRestore(&r)
+		s.fpRestore(r)
 	}
 }

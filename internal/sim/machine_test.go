@@ -163,7 +163,8 @@ func TestMachineSnapshotRestore(t *testing.T) {
 	fp1, v1 := res1.Fingerprint, fmt.Sprint(res1.Values)
 
 	// Restore the initial snapshot and re-run: identical completion.
-	me.Restore(snap.ReaderAt(0, 0))
+	rd := snap.ReaderAt(0, 0)
+	me.Restore(&rd)
 	res2, err := me.Run()
 	if err != nil {
 		t.Fatal(err)
@@ -298,12 +299,78 @@ func TestMachineSnapshotMidRun(t *testing.T) {
 		t.Fatal("snapshot point never reached")
 	}
 	fp1, v1 := res1.Fingerprint, fmt.Sprint(res1.Values)
-	me.Restore(snap.ReaderAt(0, 0))
+	rd := snap.ReaderAt(0, 0)
+	me.Restore(&rd)
 	res2, err := me.Run()
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res2.Fingerprint != fp1 || fmt.Sprint(res2.Values) != v1 {
 		t.Fatalf("mid-run restore diverged: %x %v vs %x %v", res2.Fingerprint, res2.Values, fp1, v1)
+	}
+}
+
+// haltAtSched halts the run at step `at` while armed and otherwise
+// schedules like stepIdxSched.
+type haltAtSched struct {
+	at    int
+	armed bool
+}
+
+func (s *haltAtSched) Next(ready []sim.ProcID, step int) sim.ProcID {
+	if s.armed && step == s.at {
+		return sim.Halt
+	}
+	return ready[step%len(ready)]
+}
+
+// TestRestoreAfterUnbuiltHalt: an episode that ends in a halt and is
+// discarded without BuildResult (an explorer's table hit) leaves the
+// still-ready processes unhalted; the next Restore must rewind
+// everything regardless, so the following episode is bit-identical to
+// a fresh run.
+func TestRestoreAfterUnbuiltHalt(t *testing.T) {
+	want, err := casLoopMachines(3).Run(sim.Config{Scheduler: stepIdxSched{}, Fingerprint: true, DisableTrace: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sched := &haltAtSched{at: 5, armed: true}
+	me, err := casLoopMachines(3).StartMachines(sim.Config{Scheduler: sched, Fingerprint: true, DisableTrace: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var snap sim.Snap
+	me.Snapshot(&snap)
+	halted, err := me.Resume()
+	if err != nil || !halted {
+		t.Fatalf("armed episode: halted=%v err=%v, want a halt", halted, err)
+	}
+	sched.armed = false
+	rd := snap.ReaderAt(0, 0)
+	me.Restore(&rd)
+	got, err := me.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	sameResult(t, "after unbuilt halt", got, want)
+}
+
+// TestMachineRestoreAllocFree: restoring a snapshot — once per probe of
+// the in-place DFS — allocates nothing when the reader lives in a
+// long-lived variable.
+func TestMachineRestoreAllocFree(t *testing.T) {
+	me, err := casLoopMachines(3).StartMachines(sim.Config{Scheduler: stepIdxSched{}, Fingerprint: true, DisableTrace: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var snap sim.Snap
+	me.Snapshot(&snap)
+	var rd sim.SnapReader
+	allocs := testing.AllocsPerRun(100, func() {
+		rd = snap.ReaderAt(0, 0)
+		me.Restore(&rd)
+	})
+	if allocs != 0 {
+		t.Fatalf("Restore allocates %.1f objects, want 0", allocs)
 	}
 }

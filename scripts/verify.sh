@@ -29,7 +29,7 @@ go test -race -count=1 -run 'Supervis|Chaos|Watchdog|Cancel|Checkpoint|Backoff|W
 	./internal/explore/
 
 echo "== reduction paths under the race detector (symmetry folding, sleep-set credit, forced donation)"
-go test -race -count=1 -run 'TestReducedCensusMatchesUnreduced|TestSymmetryRefuses|TestCanonicalHashPermutationInvariant' \
+go test -race -count=1 -run 'TestReducedCensusMatchesUnreduced|TestSymmetryRefuses|TestCanonicalHashPermutationInvariant|TestOutcomeIDTablesMatchRenamers|TestStealCensusInternsConcurrently' \
 	./internal/explore/ ./internal/sim/
 
 echo "== reduction smoke: reduced census must match unreduced bit-for-bit (fast tier)"
