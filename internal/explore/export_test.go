@@ -15,6 +15,13 @@ func ForceDonation(t *testing.T) {
 	forceDonation(t)
 }
 
+// SymmetryAuditRounds and SymmetryAuditSteps re-export the size of the
+// equivariance audit resolveSymmetry runs.
+const (
+	SymmetryAuditRounds = symmetryAuditRounds
+	SymmetryAuditSteps  = symmetryAuditSteps
+)
+
 // symmetricWalk runs a sequential pruned census of b with symmetry and
 // returns its resolved options, which carry the census's outcome
 // interner, and its root accumulator.

@@ -1,8 +1,10 @@
 package explore_test
 
 import (
+	"errors"
 	"testing"
 
+	"repro/internal/censusd"
 	"repro/internal/consensus"
 	"repro/internal/election"
 	"repro/internal/explore"
@@ -162,6 +164,80 @@ func TestSymmetryRefusesAsymmetricProtocol(t *testing.T) {
 		t.Fatalf("symmetry off but %d hits recorded", st.SymmetryHits)
 	}
 	t.Logf("refusal note: %s", st.SymmetryNote)
+}
+
+// TestSymmetryRefusesUnauditedSpec: when every audited schedule ends
+// in a protocol error the audit compares no renamed run, so it has no
+// evidence for the declared symmetry. The walk must fall back to plain
+// pruning with a note, and the numbers must match the unreduced walk.
+func TestSymmetryRefusesUnauditedSpec(t *testing.T) {
+	fail := errors.New("protocol failed")
+	b := func() *sim.System {
+		sys := sim.NewSystem()
+		sw := objects.NewSwap("sw", nil)
+		sys.Add(sw)
+		sys.SpawnN(2, func(sim.ProcID) sim.Program {
+			return func(e *sim.Env) (sim.Value, error) {
+				e.Apply1(sw, objects.OpSwap, 1)
+				return nil, fail
+			}
+		})
+		sys.DeclareSymmetry(&sim.Symmetry{Perms: sim.FullPerms(2)})
+		return sys
+	}
+	check := func(res *sim.Result) error { return nil }
+	want := explore.Run(b, explore.Options{}, check)
+	got := explore.Run(b, explore.Options{Symmetry: true}, check)
+	assertCensusEqual(t, "unaudited-symmetry", got, want)
+	const note = "symmetry off: symmetry audit: every audited schedule ended in a protocol error; no renamed run was compared"
+	if got.Prune == nil || got.Prune.SymmetryOn || got.Prune.SymmetryNote != note {
+		t.Fatalf("unaudited symmetry must degrade with note %q, got %+v", note, got.Prune)
+	}
+}
+
+// TestAuditSymmetryVerdictsPinned pins the audit's verdict, refusal
+// text included, at the explorer's audit size on the registry's
+// symmetric censuses and on asymmetricBuilder.
+func TestAuditSymmetryVerdictsPinned(t *testing.T) {
+	registry := func(r censusd.Request) explore.Builder {
+		if err := r.Normalize(); err != nil {
+			t.Fatal(err)
+		}
+		b, _, err := r.Build()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b
+	}
+	cases := []struct {
+		name  string
+		build explore.Builder
+		want  string // "" = accepted
+	}{
+		{"cas-k7-n6", registry(censusd.Request{Protocol: "cas", K: 7, N: 6}), ""},
+		{"sticky-n4", registry(censusd.Request{Protocol: "sticky", N: 4}), ""},
+		{"queue2", registry(censusd.Request{Protocol: "queue2"}), ""},
+		{"swap-n3", registry(censusd.Request{Protocol: "swap", N: 3}),
+			"symmetry audit: state fold mismatch under [0 2 1] (round 0): the spec's renamers do not match the protocol"},
+		{"asymmetric", asymmetricBuilder,
+			"symmetry audit: state fold mismatch under [1 0] (round 0): the spec's renamers do not match the protocol"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			probe := tc.build()
+			c, err := sim.NewCanonicalizer(probe, probe.SymmetrySpec())
+			if err != nil {
+				t.Fatalf("NewCanonicalizer: %v", err)
+			}
+			got := ""
+			if err := sim.AuditSymmetry(tc.build, c, explore.SymmetryAuditRounds, explore.SymmetryAuditSteps); err != nil {
+				got = err.Error()
+			}
+			if got != tc.want {
+				t.Fatalf("audit verdict\n got %q\nwant %q", got, tc.want)
+			}
+		})
+	}
 }
 
 // TestSymmetryRefusesUndeclared: requesting symmetry on a builder that

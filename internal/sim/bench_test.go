@@ -3,6 +3,7 @@ package sim_test
 import (
 	"fmt"
 	"strconv"
+	"sync"
 	"testing"
 
 	"repro/internal/objects"
@@ -10,11 +11,19 @@ import (
 	"repro/internal/sim"
 )
 
+// symLoopSpecs memoizes symLoopSpec by n: like the census builders,
+// every symLoop system of one size shares one immutable spec, so a
+// build does not regenerate the n! permutations.
+var symLoopSpecs sync.Map
+
 // symLoopSpec declares the process symmetry of the symLoop workload:
 // full symmetric group, ID-valued announce cells and CAS symbols
 // renamed through the permutation, per-process cells renamed by name.
 func symLoopSpec(n int) *sim.Symmetry {
-	return &sim.Symmetry{
+	if spec, ok := symLoopSpecs.Load(n); ok {
+		return spec.(*sim.Symmetry)
+	}
+	spec, _ := symLoopSpecs.LoadOrStore(n, &sim.Symmetry{
 		Perms: sim.FullPerms(n),
 		RenameValue: func(v sim.Value, perm []sim.ProcID) sim.Value {
 			switch x := v.(type) {
@@ -41,7 +50,8 @@ func symLoopSpec(n int) *sim.Symmetry {
 		RenameOutcome: func(key string, perm []sim.ProcID) string {
 			return sim.RenameIntKey(key, func(i int) int { return int(perm[i]) })
 		},
-	}
+	})
+	return spec.(*sim.Symmetry)
 }
 
 // symLoop is the symmetric steady-state workload behind the canon
@@ -242,4 +252,32 @@ func BenchmarkSimStep(b *testing.B) {
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(steps), "ns/step")
 		})
 	}
+}
+
+// BenchmarkSymmetrySetup prices the once-per-census symmetry set-up at
+// |G| = 6! = 720 on symLoop's shape: the structural validation and
+// per-permutation tables (canonicalizer), and the explorer-sized
+// equivariance audit of 3 rounds × 64 steps (audit).
+func BenchmarkSymmetrySetup(b *testing.B) {
+	const n = 6
+	build := func() *sim.System { return symLoopMachines(1, n) }
+	b.Run("canonicalizer", func(b *testing.B) {
+		probe := build()
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, err := sim.NewCanonicalizer(probe, probe.SymmetrySpec()); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("audit", func(b *testing.B) {
+		canon := symLoopCanon(b, n)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if err := sim.AuditSymmetry(build, canon, 3, 64); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
 }

@@ -33,3 +33,10 @@ func (s *System) StateHashCanonScratch() (uint64, int, bool) {
 	}
 	return best, bestK, true
 }
+
+// IdentityView exports the audit twins' identity-slot view of c.
+func (c *Canonicalizer) IdentityView() *Canonicalizer { return c.identity() }
+
+// StateHashUnder exports the from-scratch fold of the state under
+// permutation k, the word the audit compares.
+func (s *System) StateHashUnder(k int) (uint64, bool) { return s.stateHashUnder(k) }

@@ -17,6 +17,7 @@ package sim
 // unsoundness. See DESIGN.md §5 "Reduction soundness".
 
 import (
+	"encoding/binary"
 	"fmt"
 	"sort"
 	"strconv"
@@ -175,29 +176,34 @@ func NewCanonicalizer(sys *System, spec *Symmetry) (*Canonicalizer, error) {
 	if n == 0 {
 		return nil, fmt.Errorf("sim: symmetry: system has no processes")
 	}
-	encode := func(p []ProcID) string {
-		var b strings.Builder
+	// Permutations are keyed through one reusable buffer: a map index
+	// by string(buf) does not allocate, so the |G|² closure lookups
+	// below cost no garbage; only the |G| inserts copy their key.
+	var buf []byte
+	encode := func(p []ProcID) []byte {
+		buf = buf[:0]
 		for _, id := range p {
-			fmt.Fprintf(&b, "%d,", id)
+			buf = binary.AppendUvarint(buf, uint64(id))
 		}
-		return b.String()
+		return buf
 	}
-	seen := make(map[string]int, len(spec.Perms))
+	seen := make(map[string]struct{}, len(spec.Perms))
+	hit := make([]bool, n)
 	for k, p := range spec.Perms {
 		if len(p) != n {
 			return nil, fmt.Errorf("sim: symmetry: permutation %d has length %d, system has %d processes", k, len(p), n)
 		}
-		hit := make([]bool, n)
+		clear(hit)
 		for _, id := range p {
 			if id < 0 || int(id) >= n || hit[id] {
 				return nil, fmt.Errorf("sim: symmetry: permutation %d (%v) is not a bijection of 0..%d", k, p, n-1)
 			}
 			hit[id] = true
 		}
-		if _, dup := seen[encode(p)]; dup {
+		if _, dup := seen[string(encode(p))]; dup {
 			return nil, fmt.Errorf("sim: symmetry: duplicate permutation %v", p)
 		}
-		seen[encode(p)] = k
+		seen[string(buf)] = struct{}{}
 	}
 	for i, id := range spec.Perms[0] {
 		if int(id) != i {
@@ -213,7 +219,7 @@ func NewCanonicalizer(sys *System, spec *Symmetry) (*Canonicalizer, error) {
 			for i := range comp {
 				comp[i] = a[b[i]]
 			}
-			if _, ok := seen[encode(comp)]; !ok {
+			if _, ok := seen[string(encode(comp))]; !ok {
 				return nil, fmt.Errorf("sim: symmetry: permutation set not closed under composition (%v∘%v missing)", a, b)
 			}
 		}
@@ -292,6 +298,26 @@ func NewCanonicalizer(sys *System, spec *Symmetry) (*Canonicalizer, error) {
 
 // NumPerms returns the size of the permutation group.
 func (c *Canonicalizer) NumPerms() int { return len(c.perms) }
+
+// identity is the view of c restricted to its identity slot: it shares
+// the spec, the object names and every per-permutation table's k = 0
+// entry, so a run under it folds exactly the identity-slot words a run
+// under c folds (stateHashUnder(0) is the same) without maintaining
+// the other |G|-1 orientations.
+func (c *Canonicalizer) identity() *Canonicalizer {
+	return &Canonicalizer{
+		spec:         c.spec,
+		perms:        c.perms[:1],
+		inv:          c.inv[:1],
+		names:        c.names,
+		objIndex:     c.objIndex,
+		renameVal:    c.renameVal[:1],
+		renamedNames: c.renamedNames[:1],
+		foldOrder:    c.foldOrder[:1],
+		outRename:    c.outRename[:1],
+		outRenameInv: c.outRenameInv[:1],
+	}
+}
 
 // OutcomeRenamer returns the outcome-key renamer for permutation k
 // (nil means identity — safe to skip renaming entirely).
@@ -468,7 +494,12 @@ func auditDecisionKey(res *Result, rename func(Value, []ProcID) Value, perm []Pr
 // decisions are not permutation-invariant. A nil error is the
 // explorer's license to enable symmetry reduction; any failure means
 // the spec (or the protocol) is not symmetric and reduction must stay
-// off.
+// off. An audit whose every base run ends in a protocol error compares
+// nothing and is a failure too.
+//
+// Only the base runs need c's whole group (they read stateHashUnder(k)
+// for every k); each twin is checked through its identity fold alone,
+// so it runs under c's identity view and folds one orientation, not |G|.
 func AuditSymmetry(build func() *System, c *Canonicalizer, rounds, maxSteps int) error {
 	if rounds <= 0 {
 		rounds = 1
@@ -476,6 +507,8 @@ func AuditSymmetry(build func() *System, c *Canonicalizer, rounds, maxSteps int)
 	if maxSteps <= 0 {
 		maxSteps = 64
 	}
+	id := c.identity()
+	compared := false
 	for r := 0; r < rounds; r++ {
 		base := build()
 		rec := &auditSched{offset: r}
@@ -495,6 +528,7 @@ func AuditSymmetry(build func() *System, c *Canonicalizer, rounds, maxSteps int)
 		if bailed {
 			continue
 		}
+		compared = true
 		baseKey := auditDecisionKey(bres, nil, nil)
 		for k := 1; k < c.NumPerms(); k++ {
 			perm := c.perms[k]
@@ -505,7 +539,7 @@ func AuditSymmetry(build func() *System, c *Canonicalizer, rounds, maxSteps int)
 			twin := build()
 			rp := &auditReplay{picks: rec.picks, perm: perm}
 			tres, err := twin.Run(Config{
-				Scheduler: rp, Fingerprint: true, Canon: c,
+				Scheduler: rp, Fingerprint: true, Canon: id,
 				MaxTotalSteps: maxSteps, DisableTrace: true,
 			})
 			if err != nil {
@@ -535,6 +569,9 @@ func AuditSymmetry(build func() *System, c *Canonicalizer, rounds, maxSteps int)
 				}
 			}
 		}
+	}
+	if !compared {
+		return fmt.Errorf("symmetry audit: every audited schedule ended in a protocol error; no renamed run was compared")
 	}
 	return nil
 }

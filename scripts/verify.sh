@@ -29,7 +29,7 @@ go test -race -count=1 -run 'Supervis|Chaos|Watchdog|Cancel|Checkpoint|Backoff|W
 	./internal/explore/
 
 echo "== reduction paths under the race detector (symmetry folding, sleep-set credit, forced donation)"
-go test -race -count=1 -run 'TestReducedCensusMatchesUnreduced|TestSymmetryRefuses|TestCanonicalHashPermutationInvariant|TestOutcomeIDTablesMatchRenamers|TestStealCensusInternsConcurrently' \
+go test -race -count=1 -run 'TestReducedCensusMatchesUnreduced|TestSymmetryRefuses|TestCanonicalHashPermutationInvariant|TestOutcomeIDTablesMatchRenamers|TestStealCensusInternsConcurrently|TestAuditSymmetryVerdictsPinned|TestIdentityViewFoldsIdentitySlot' \
 	./internal/explore/ ./internal/sim/
 
 echo "== reduction smoke: reduced census must match unreduced bit-for-bit (fast tier)"
@@ -62,8 +62,13 @@ echo "== fingerprint audit census: incremental plain+canonical hashes cross-chec
 go run ./cmd/explore -protocol cas -k 4 -n 3 -crashes 1 -symmetry -verifyfp \
 	-workers 1 -maxruns 200000 -bivalence=false >/dev/null
 
+echo "== |G| = 720 census smoke: cas k=7 n=6 under symmetry must be audited, reduced and complete in well under a minute"
+timeout 60 go run ./cmd/explore -protocol cas -k 7 -n 6 -crashes 1 -prune -symmetry -workers 2 \
+	-maxruns 1000000000000000000 -bivalence=false -json |
+	jq -e '.exhaustive and .prune.symmetry_on and .complete == 26435341132200000' >/dev/null
+
 echo "== benchmark smoke (-benchtime 1x: every benchmark still runs)"
-go test -run '^$' -bench 'BenchmarkSimStep' -benchtime 1x ./internal/sim/ >/dev/null
+go test -run '^$' -bench 'BenchmarkSimStep|BenchmarkSymmetrySetup' -benchtime 1x ./internal/sim/ >/dev/null
 go test -run '^$' -bench 'BenchmarkExplore' -benchtime 1x ./internal/explore/ >/dev/null
 go test -run '^$' -bench 'BenchmarkWrapOverhead|BenchmarkFaultCensus' -benchtime 1x ./internal/faults/ >/dev/null
 
