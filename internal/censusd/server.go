@@ -375,6 +375,11 @@ func (s *Server) runJob(ctx context.Context, id string) {
 		if err := s.store.Save(js.job); err != nil {
 			s.cfg.Logf("job %s: persist: %v", id, err)
 		}
+		// Evict under the same lock, so no observer sees a finished job
+		// while the result cache is still over its bounds.
+		if terminalState(js.job.State) {
+			s.evictLocked()
+		}
 	}
 
 	// Panic isolation: one poisoned job must not take a pool worker (or
@@ -422,7 +427,6 @@ func (s *Server) runJob(ctx context.Context, id string) {
 	// alternate between them across daemon restarts.
 	if s.dist.liveWorkers(time.Now()) > 0 {
 		if s.runJobDistributed(ctx, jobCtx, js, id, req, builder, props, settle) {
-			s.evict()
 			return
 		}
 	}
@@ -471,7 +475,6 @@ func (s *Server) runJob(ctx context.Context, id string) {
 		s.cfg.Logf("job %s done: %d complete, %d incomplete, %d violations (resumed %d/%d roots)",
 			id, c.Complete, c.Incomplete, c.ViolationRuns, ckStats.ResumedRoots, ckStats.TotalRoots)
 	}
-	s.evict()
 }
 
 // jobView is the /jobs/{id} response: the persisted record plus live
@@ -535,15 +538,13 @@ func (s *Server) Cancel(id string) (code int, err error) {
 	}
 }
 
-// evict enforces the result-cache bounds: terminal jobs beyond
+// evictLocked enforces the result-cache bounds: terminal jobs beyond
 // StoreMaxJobs / StoreMaxBytes are deleted (record, checkpoint, and
-// dedup entry), least recently accessed first.
-func (s *Server) evict() {
+// dedup entry), least recently accessed first. Callers hold s.mu.
+func (s *Server) evictLocked() {
 	if s.cfg.StoreMaxJobs <= 0 && s.cfg.StoreMaxBytes <= 0 {
 		return
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	type cand struct {
 		id     string
 		access time.Time

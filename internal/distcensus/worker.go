@@ -276,7 +276,7 @@ func (w *Worker) execute(ctx context.Context, lease *Lease, resumed bool) {
 	}()
 
 	summary, stats, exploreErr := explore.ExploreSubtree(attemptCtx, b, opts, check, lease.Prefix,
-		explore.SubtreeCheckpoint{Path: w.ckPath(lease.JobID, lease.Root), Every: 1, Resume: true},
+		explore.Checkpoint{Path: w.ckPath(lease.JobID, lease.Root), Every: 1, Resume: true},
 		beats.bump)
 	cancel()
 	<-hbDone
@@ -296,13 +296,16 @@ func (w *Worker) execute(ctx context.Context, lease *Lease, resumed bool) {
 			// resumes and delivers.
 			return
 		}
-		res.Err = fmt.Sprintf("explore: %v", exploreErr)
+		res.Err = exploreErr.Error() // already "explore: ..."
 		w.deliver(ctx, res, true)
 		return
 	}
-	if stats.Resumed > 0 {
+	if stats.Warning != "" {
+		w.logf("job %s root %d: %s", lease.JobID, lease.Root, stats.Warning)
+	}
+	if stats.ResumedRoots > 0 {
 		w.logf("job %s root %d: resumed %d/%d sub-roots from local checkpoint",
-			lease.JobID, lease.Root, stats.Resumed, stats.SubRoots)
+			lease.JobID, lease.Root, stats.ResumedRoots, stats.TotalRoots)
 	}
 	res.Summary = summary
 	w.deliver(ctx, res, true)

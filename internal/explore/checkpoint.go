@@ -25,19 +25,21 @@ import (
 // persisted as schedules and rebuilt by replay on load, so the file
 // stays small and plain JSON.
 
-// Checkpoint configures RunCheckpointed.
+// Checkpoint configures the persistence of RunCheckpointed and
+// ExploreSubtree.
 type Checkpoint struct {
 	// Path is the checkpoint file. It is written atomically
 	// (temp file + rename), so a kill mid-save leaves the previous
-	// checkpoint intact.
+	// checkpoint intact. Empty disables persistence.
 	Path string
 	// Every saves the file after every Every newly completed roots
 	// (plus once at the end). Zero means 8.
 	Every int
 	// Resume loads Path before exploring, crediting its recorded roots
 	// — provided its key matches this builder/options frontier; a
-	// mismatched or unreadable file is ignored and the run starts
-	// fresh.
+	// foreign or unreadable file is ignored and the run starts fresh,
+	// while the same exploration under different engine options is
+	// refused with an error.
 	Resume bool
 
 	// stopAfterRoots is a test hook: abort the run (with errStopped)
@@ -124,43 +126,38 @@ func RunCheckpointed(b Builder, opts Options, check func(*sim.Result) error, ck 
 	// (Symmetry flips off), making the checkpoint key fold the
 	// EFFECTIVE reducer set deterministically.
 	opts = censusOptions(b, opts.withDefaults())
-	var stats CheckpointStats
-	workers := opts.workerCount()
-	items, ok := frontier(b, opts, workers)
+	items, ok := frontier(b, opts, opts.workerCount())
 	if !ok {
-		return Run(b, opts, check), stats, nil
+		return Run(b, opts, check), CheckpointStats{}, nil
 	}
-	key := checkpointKey(opts, items)
-	optsFP := optionsFingerprint(opts)
-	frontierFP := frontierFingerprint(items)
-	done := make(map[int]ckRoot)
+	return checkpointedCensus(b, opts, check, items, censusHeader(opts, items), ck, nil)
+}
+
+// checkpointedCensus is the one checkpointed driver, shared by
+// RunCheckpointed (the whole frontier) and ExploreSubtree (one work
+// item's sub-frontier): it credits the roots hdr's file recorded
+// (with Checkpoint.Resume), explores the rest on the steal pool,
+// records each root as it settles, saves every Checkpoint.Every of
+// them and once at the end. An empty Checkpoint.Path skips
+// persistence. beat, when non-nil, fires on every engine step of every
+// attempt. opts must be resolved (censusOptions).
+func checkpointedCensus(b Builder, opts Options, check func(*sim.Result) error, items []frontierItem, hdr ckHeader, ck Checkpoint, beat func()) (*Census, CheckpointStats, error) {
+	var stats CheckpointStats
 	for _, it := range items {
 		if it.prefix != nil {
 			stats.TotalRoots++
 		}
 	}
-	if ck.Resume {
-		f, warn := loadCheckpointTolerant(ck.Path)
-		switch {
-		case f == nil:
-			stats.Warning = warn
-		case f.Key != key:
-			// Same exploration tree but different engine options is a
-			// hard error: the caller believes they are resuming the run
-			// that wrote the checkpoint, and silently starting fresh
-			// would explore under the wrong reduction/budget settings.
-			// (Files from before the Frontier/Opts split carry neither
-			// field and keep the old ignore-with-warning behavior.)
-			if f.Frontier == frontierFP && f.Opts != "" && f.Opts != optsFP {
-				return nil, stats, fmt.Errorf(
-					"explore: checkpoint %s records the same exploration under different engine options (checkpoint %q, this run %q); refusing to resume — rerun with the original options or delete the checkpoint",
-					ck.Path, f.Opts, optsFP)
-			}
-			stats.Warning = "checkpoint ignored: key mismatch (different builder or options); starting fresh"
-		default:
-			done = f.rootsOf(items)
-			stats.ResumedRoots = len(done)
+	var done map[int]RootSummary
+	if ck.Resume && ck.Path != "" {
+		var err error
+		if done, stats.Warning, err = hdr.resume(ck.Path, items); err != nil {
+			return nil, stats, err
 		}
+		stats.ResumedRoots = len(done)
+	}
+	if done == nil {
+		done = make(map[int]RootSummary)
 	}
 	every := ck.Every
 	if every <= 0 {
@@ -177,6 +174,7 @@ func RunCheckpointed(b Builder, opts Options, check func(*sim.Result) error, ck 
 	defer stopCancel()
 	opts.Context = stopCtx
 	p := newStealPool(b, opts, check, table, items)
+	p.beat = beat
 	for i, r := range done {
 		p.roots[i] = r.settled(b, opts)
 	}
@@ -188,11 +186,10 @@ func RunCheckpointed(b Builder, opts Options, check func(*sim.Result) error, ck 
 		hookStop  bool
 	)
 	save := func() error { // callers hold saveMu
-		f := ckFile{Key: key, Frontier: frontierFP, Opts: optsFP, Done: make(map[string]ckRoot, len(done))}
-		for i, r := range done {
-			f.Done[strconv.Itoa(i)] = r
+		if ck.Path == "" {
+			return nil
 		}
-		if err := saveCheckpoint(ck.Path, &f); err != nil {
+		if err := hdr.save(ck.Path, done); err != nil {
 			return err
 		}
 		stats.Saves++
@@ -201,7 +198,7 @@ func RunCheckpointed(b Builder, opts Options, check func(*sim.Result) error, ck 
 	}
 	p.sink = func(i int, r RootSummary) {
 		saveMu.Lock()
-		done[i] = ckRoot{RootSummary: r}
+		done[i] = r
 		newlyDone++
 		unsaved++
 		if unsaved >= every {
@@ -216,7 +213,7 @@ func RunCheckpointed(b Builder, opts Options, check func(*sim.Result) error, ck 
 			stopCancel()
 		}
 	}
-	c := p.census(workers)
+	c := p.census(opts.workerCount())
 	stats.Retries = int(p.cfg.stats.Retries.Load())
 	stats.Requeues = int(p.cfg.stats.Requeues.Load())
 
@@ -232,29 +229,68 @@ func RunCheckpointed(b Builder, opts Options, check func(*sim.Result) error, ck 
 	return c, stats, nil
 }
 
+// ckHeader identifies the exploration a checkpoint file records: key
+// must match for the file to be credited; frontier and opts, when set,
+// tell a foreign exploration (ignored with a warning) from the same
+// exploration under different engine options (refused).
+type ckHeader struct {
+	key      uint64
+	frontier uint64
+	opts     string
+}
+
+// censusHeader is the header of a whole-census checkpoint over items.
+func censusHeader(opts Options, items []frontierItem) ckHeader {
+	return ckHeader{key: checkpointKey(opts, items), frontier: frontierFingerprint(items), opts: optionsFingerprint(opts)}
+}
+
+// resume loads path's creditable roots of items. A missing file is a
+// silent fresh start, a corrupt or foreign file is ignored with a
+// warning, and a file recording the same exploration under different
+// engine options is a hard error.
+func (h ckHeader) resume(path string, items []frontierItem) (map[int]RootSummary, string, error) {
+	f, warn := loadCheckpointTolerant(path)
+	switch {
+	case f == nil:
+		return nil, warn, nil
+	case f.Key != h.key:
+		// Same exploration tree but different engine options is a
+		// hard error: the caller believes they are resuming the run
+		// that wrote the checkpoint, and silently starting fresh
+		// would explore under the wrong reduction/budget settings.
+		// (Files from before the Frontier/Opts split carry neither
+		// field and keep the ignore-with-warning behavior.)
+		if f.Frontier == h.frontier && f.Opts != "" && f.Opts != h.opts {
+			return nil, "", fmt.Errorf(
+				"explore: checkpoint %s records the same exploration under different engine options (checkpoint %q, this run %q); refusing to resume — rerun with the original options or delete the checkpoint",
+				path, f.Opts, h.opts)
+		}
+		return nil, "checkpoint ignored: key mismatch (different builder or options); starting fresh", nil
+	}
+	return f.rootsOf(items), "", nil
+}
+
+// save writes the settled roots under the header, atomically and
+// durably.
+func (h ckHeader) save(path string, done map[int]RootSummary) error {
+	f := ckFile{Key: h.key, Frontier: h.frontier, Opts: h.opts, Done: make(map[string]ckRoot, len(done))}
+	for i, r := range done {
+		f.Done[strconv.Itoa(i)] = ckRoot{RootSummary: r}
+	}
+	return saveCheckpoint(path, &f)
+}
+
 // rootsOf lists the file's creditable records: a root of items (not a
 // leaf, in range) recorded without an error.
-func (f *ckFile) rootsOf(items []frontierItem) map[int]ckRoot {
-	out := make(map[int]ckRoot)
+func (f *ckFile) rootsOf(items []frontierItem) map[int]RootSummary {
+	out := make(map[int]RootSummary)
 	for k, v := range f.Done {
 		if i, err := strconv.Atoi(k); err == nil && i >= 0 && i < len(items) &&
 			items[i].prefix != nil && v.Err == "" {
-			out[i] = v
+			out[i] = v.RootSummary
 		}
 	}
 	return out
-}
-
-// exploreRoot fully explores one subtree. Panics propagate to the
-// caller. A true second return value means the context was cancelled
-// mid-root and the partial record must be discarded.
-func exploreRoot(ctx context.Context, b Builder, opts Options, check func(*sim.Result) error, table *pruneTable, prefix []Choice, beat func()) (RootSummary, bool) {
-	en := &engine{b: b, opts: opts, acc: newSummary(), check: check, table: table, root: prefix, ctx: ctx, onStep: beat}
-	en.run()
-	if en.cancelled {
-		return RootSummary{}, true
-	}
-	return rootSummaryOf(en.acc, opts.ids, en.capped), false
 }
 
 // rootSummaryOf flattens a subtree summary into its persisted form:

@@ -256,7 +256,7 @@ func TestCheckpointKeysGolden(t *testing.T) {
 		}
 	}
 	path := filepath.Join(t.TempDir(), "sub.json")
-	if _, _, err := ExploreSubtree(context.Background(), wideTree, opts, nil, root, SubtreeCheckpoint{Path: path}, nil); err != nil {
+	if _, _, err := ExploreSubtree(context.Background(), wideTree, opts, nil, root, Checkpoint{Path: path}, nil); err != nil {
 		t.Fatal(err)
 	}
 	f, err := loadCheckpoint(path)

@@ -3,7 +3,6 @@ package explore
 import (
 	"context"
 	"fmt"
-	"strconv"
 	"sync"
 
 	"repro/internal/sim"
@@ -56,9 +55,7 @@ type DistPlan struct {
 	// included.
 	orbit *orbitInfo
 
-	key        uint64
-	optsFP     string
-	frontierFP uint64
+	hdr ckHeader
 
 	// Local-fallback execution shares one transposition table across
 	// roots, like RunCheckpointed.
@@ -76,12 +73,7 @@ func NewDistPlan(b Builder, opts Options, check func(*sim.Result) error) (*DistP
 	if !ok {
 		return nil, false
 	}
-	p := &DistPlan{
-		b: b, opts: opts, check: check, items: items,
-		key:        checkpointKey(opts, items),
-		optsFP:     optionsFingerprint(opts),
-		frontierFP: frontierFingerprint(items),
-	}
+	p := &DistPlan{b: b, opts: opts, check: check, items: items, hdr: censusHeader(opts, items)}
 	if opts.canon != nil {
 		p.orbit = orbitPartition(b, opts, items)
 	}
@@ -117,44 +109,24 @@ func (p *DistPlan) Prefix(i int) []Choice { return p.items[i].prefix }
 // worker recomputes it from its own resolved options and refuses a
 // work item whose fingerprint disagrees — the cross-process version of
 // the checkpoint file's wrong-options refusal.
-func (p *DistPlan) OptionsFingerprint() string { return p.optsFP }
+func (p *DistPlan) OptionsFingerprint() string { return p.hdr.opts }
 
 // Key is the exploration's checkpoint key (options + frontier).
-func (p *DistPlan) Key() uint64 { return p.key }
+func (p *DistPlan) Key() uint64 { return p.hdr.key }
 
 // LoadCheckpoint loads the plan's checkpoint file, crediting recorded
-// roots. Semantics match RunCheckpointed's resume exactly: a missing
-// file is a silent fresh start, a corrupt or foreign file is ignored
-// with a warning, and a file recording the same exploration under
-// different engine options is a hard error.
+// roots through RunCheckpointed's own resume: a missing file is a
+// silent fresh start, a corrupt or foreign file is ignored with a
+// warning, and a file recording the same exploration under different
+// engine options is a hard error.
 func (p *DistPlan) LoadCheckpoint(path string) (map[int]RootSummary, string, error) {
-	f, warn := loadCheckpointTolerant(path)
-	switch {
-	case f == nil:
-		return nil, warn, nil
-	case f.Key != p.key:
-		if f.Frontier == p.frontierFP && f.Opts != "" && f.Opts != p.optsFP {
-			return nil, "", fmt.Errorf(
-				"explore: checkpoint %s records the same exploration under different engine options (checkpoint %q, this run %q); refusing to resume — rerun with the original options or delete the checkpoint",
-				path, f.Opts, p.optsFP)
-		}
-		return nil, "checkpoint ignored: key mismatch (different builder or options); starting fresh", nil
-	}
-	done := make(map[int]RootSummary)
-	for i, v := range f.rootsOf(p.items) {
-		done[i] = v.RootSummary
-	}
-	return done, "", nil
+	return p.hdr.resume(path, p.items)
 }
 
 // SaveCheckpoint persists the completed roots atomically and durably,
 // in the standard checkpoint file format.
 func (p *DistPlan) SaveCheckpoint(path string, done map[int]RootSummary) error {
-	f := ckFile{Key: p.key, Frontier: p.frontierFP, Opts: p.optsFP, Done: make(map[string]ckRoot, len(done))}
-	for i, r := range done {
-		f.Done[strconv.Itoa(i)] = ckRoot{RootSummary: r}
-	}
-	return saveCheckpoint(path, &f)
+	return p.hdr.save(path, done)
 }
 
 // ExploreRootLocal fully explores root i in this process — the
@@ -166,7 +138,12 @@ func (p *DistPlan) ExploreRootLocal(ctx context.Context, i int) (RootSummary, bo
 	if p.opts.Prune {
 		p.tableOnce.Do(func() { p.table = newPruneTable(p.opts.PruneTableEntries) })
 	}
-	return exploreRoot(ctx, p.b, p.opts, p.check, p.table, p.items[i].prefix, nil)
+	en := &engine{b: p.b, opts: p.opts, acc: newSummary(), check: p.check, table: p.table, root: p.items[i].prefix, ctx: ctx}
+	en.run()
+	if en.cancelled {
+		return RootSummary{}, true
+	}
+	return rootSummaryOf(en.acc, p.opts.ids, en.capped), false
 }
 
 // Merge folds per-root summaries back into a census through the
@@ -214,161 +191,48 @@ func FingerprintOptions(b Builder, opts Options) string {
 	return optionsFingerprint(opts)
 }
 
-// SubtreeCheckpoint configures ExploreSubtree's in-flight progress
-// persistence: the leased subtree is split again at a shallow
-// sub-frontier and completed sub-roots are recorded in Path, so a
-// worker killed mid-subtree resumes from its last save instead of
-// restarting the whole work item.
-type SubtreeCheckpoint struct {
-	// Path is the checkpoint file; empty disables checkpointing.
-	Path string
-	// Every saves after this many newly completed sub-roots (0 = 4).
-	Every int
-	// Resume credits Path's recorded sub-roots when it matches.
-	Resume bool
-}
-
-// SubtreeStats reports what ExploreSubtree did.
-type SubtreeStats struct {
-	// SubRoots is the sub-frontier size (0: explored monolithically).
-	SubRoots int
-	// Resumed is how many sub-roots were credited from the checkpoint.
-	Resumed int
-	// Saves counts checkpoint writes.
-	Saves int
-	// Warning is set when Resume found an unusable file.
-	Warning string
-}
-
 // ExploreSubtree fully explores the subtree rooted at prefix — one
 // distributed work item — and returns its summary, bit-identical in
-// every count to the same subtree explored inside a local census.
-// beat, when non-nil, is bumped on engine progress (the caller's cue
-// to renew its lease: a wedged exploration stops beating and the
-// coordinator's lease expiry takes over). A context cancellation
-// (lease revoked, shutdown) returns ctx's error after flushing the
-// checkpoint; the partial summary is discarded.
-func ExploreSubtree(ctx context.Context, b Builder, opts Options, check func(*sim.Result) error, prefix []Choice, ck SubtreeCheckpoint, beat func()) (RootSummary, SubtreeStats, error) {
+// every count to the same subtree explored inside a local census. The
+// item is split again at a shallow sub-frontier (or, when it does not
+// split, run as its single root) and explored on Options.Workers
+// workers of the steal pool, with the pool's retry budget, donation
+// and orbit folding; settled sub-roots are recorded in ck.Path, so a
+// worker killed mid-item resumes from its last save instead of
+// restarting the whole item. beat, when non-nil, is bumped on every
+// engine step (the caller's cue to renew its lease: a wedged
+// exploration stops beating and the coordinator's lease expiry takes
+// over). A context cancellation (lease revoked, shutdown) returns
+// ctx's error after flushing the checkpoint; a sub-root lost after the
+// attempt budget returns an error naming it. In both cases the partial
+// summary is discarded.
+func ExploreSubtree(ctx context.Context, b Builder, opts Options, check func(*sim.Result) error, prefix []Choice, ck Checkpoint, beat func()) (RootSummary, CheckpointStats, error) {
 	opts = censusOptions(b, opts.withDefaults())
-	var stats SubtreeStats
-	var table *pruneTable
-	if opts.Prune {
-		table = newPruneTable(opts.PruneTableEntries)
-	}
-	if ck.Path == "" {
-		r, cancelled := exploreRoot(ctx, b, opts, check, table, prefix, beat)
-		if cancelled {
-			return RootSummary{}, stats, ctx.Err()
-		}
-		return r, stats, nil
-	}
-
 	opts.Context = ctx
 	items, ok := splitFrontier(b, opts, prefix, 8, 12)
 	if !ok {
-		// Not splittable (tiny subtree, or enumeration hit the cap):
-		// explore monolithically, with a single-record checkpoint so a
-		// completed-but-undelivered item still resumes instantly.
-		key := foldString(foldString(fnvOffset, optionsFingerprint(opts)), "|item:"+FormatSchedule(prefix)+"|mono")
-		if ck.Resume {
-			if f, warn := loadCheckpointTolerant(ck.Path); f != nil && f.Key == key {
-				if v, ok := f.Done["0"]; ok && v.Err == "" {
-					stats.Resumed = 1
-					return v.RootSummary, stats, nil
-				}
-			} else {
-				stats.Warning = warn
-			}
-		}
-		r, cancelled := exploreRoot(ctx, b, opts, check, table, prefix, beat)
-		if cancelled {
-			return RootSummary{}, stats, ctx.Err()
-		}
-		if err := saveCheckpoint(ck.Path, &ckFile{Key: key, Done: map[string]ckRoot{"0": {RootSummary: r}}}); err != nil {
-			return RootSummary{}, stats, err
-		}
-		stats.Saves++
-		return r, stats, nil
+		items = []frontierItem{{prefix: prefix}}
 	}
-	stats.SubRoots = 0
-	for _, it := range items {
-		if it.prefix != nil {
-			stats.SubRoots++
-		}
-	}
-
 	// The sub-checkpoint key extends the standard options fold with the
 	// work item's own prefix, so files from different roots (or jobs)
-	// never cross-resume.
-	key := foldItems(foldString(foldString(fnvOffset, optionsFingerprint(opts)), "|item:"+FormatSchedule(prefix)), items)
-
-	done := make(map[int]ckRoot)
-	if ck.Resume {
-		f, warn := loadCheckpointTolerant(ck.Path)
-		switch {
-		case f == nil:
-			stats.Warning = warn
-		case f.Key != key:
-			stats.Warning = "subtree checkpoint ignored: key mismatch; starting fresh"
-		default:
-			done = f.rootsOf(items)
-			stats.Resumed = len(done)
-		}
-	}
-	every := ck.Every
-	if every <= 0 {
-		every = 4
-	}
-	save := func() error {
-		f := ckFile{Key: key, Done: make(map[string]ckRoot, len(done))}
-		for i, r := range done {
-			f.Done[strconv.Itoa(i)] = r
-		}
-		if err := saveCheckpoint(ck.Path, &f); err != nil {
-			return err
-		}
-		stats.Saves++
-		return nil
-	}
-
-	unsaved := 0
-	for i, it := range items {
-		if it.prefix == nil {
-			continue
-		}
-		if _, ok := done[i]; ok {
-			continue
-		}
-		r, cancelled := exploreRoot(ctx, b, opts, check, table, it.prefix, beat)
-		if cancelled {
-			_ = save() // flush progress; the error is the cancellation
-			return RootSummary{}, stats, ctx.Err()
-		}
-		done[i] = ckRoot{RootSummary: r}
-		if beat != nil {
-			beat()
-		}
-		unsaved++
-		if unsaved >= every {
-			if err := save(); err != nil {
-				return RootSummary{}, stats, err
-			}
-			unsaved = 0
-		}
-	}
-	if err := save(); err != nil {
+	// never cross-resume. The header carries no frontier/options split:
+	// the worker has already refused a lease whose options disagree, so
+	// any mismatch here is a foreign file, ignored with a warning.
+	hdr := ckHeader{key: foldItems(foldString(foldString(fnvOffset, optionsFingerprint(opts)), "|item:"+FormatSchedule(prefix)), items)}
+	c, stats, err := checkpointedCensus(b, opts, check, items, hdr, ck, beat)
+	switch {
+	case err != nil:
 		return RootSummary{}, stats, err
+	case len(c.FailedRoots) > 0:
+		return RootSummary{}, stats, fmt.Errorf("explore: work item %q incomplete: %s", FormatSchedule(prefix), c.FailedRoots[0])
+	case c.Cancelled:
+		return RootSummary{}, stats, ctx.Err()
 	}
-
-	// Deterministic merge in DFS sub-root order — identical to the
-	// monolithic walk of the same subtree in every count and in the
-	// first ≤MaxRecordedViolations representatives. Every sub-root
-	// settled without loss, so only a cap leaves the fold non-exhaustive.
-	roots := make([]rootState, len(items))
-	for i, r := range done {
-		roots[i] = r.settled(b, opts)
-	}
-	c, _ := foldCensus(items, roots, check, nil, opts.ids)
+	// The pool folds the sub-roots in DFS order, so the summary matches
+	// the monolithic walk of the same subtree in every count (like any
+	// pooled census, only the recorded representatives may differ);
+	// every sub-root settled without loss, so only a cap leaves the fold
+	// non-exhaustive.
 	out := RootSummary{
 		Complete:   c.Complete,
 		Incomplete: c.Incomplete,

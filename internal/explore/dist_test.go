@@ -4,7 +4,10 @@ import (
 	"context"
 	"fmt"
 	"path/filepath"
+	"strings"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/explore"
 	"repro/internal/registers"
@@ -42,9 +45,9 @@ func exploreAllItems(t *testing.T, plan *explore.DistPlan, b explore.Builder, op
 	t.Helper()
 	done := make(map[int]explore.RootSummary)
 	for _, root := range plan.Roots() {
-		ck := explore.SubtreeCheckpoint{}
+		ck := explore.Checkpoint{}
 		if ckDir != "" {
-			ck = explore.SubtreeCheckpoint{Path: filepath.Join(ckDir, fmt.Sprintf("item-%d.json", root)), Every: 1, Resume: true}
+			ck = explore.Checkpoint{Path: filepath.Join(ckDir, fmt.Sprintf("item-%d.json", root)), Every: 1, Resume: true}
 		}
 		sum, _, err := explore.ExploreSubtree(context.Background(), b, opts, check, plan.Prefix(root), ck, nil)
 		if err != nil {
@@ -80,7 +83,8 @@ func assertCensusCountsEqual(t *testing.T, label string, got, want *explore.Cens
 // TestDistPlanMergeBitIdentical: distributing every root through
 // ExploreSubtree (fresh tables, per-item checkpoints) and merging must
 // reproduce the single-process census in every count — crash
-// branching, violations, and reduction all included.
+// branching, violations, reduction and the pool's forced donation all
+// included.
 func TestDistPlanMergeBitIdentical(t *testing.T) {
 	agree := func(res *sim.Result) error {
 		if d := res.DistinctDecisions(); len(d) > 1 {
@@ -89,19 +93,37 @@ func TestDistPlanMergeBitIdentical(t *testing.T) {
 		return nil
 	}
 	cases := []struct {
-		name  string
-		b     explore.Builder
-		opts  explore.Options
-		check func(*sim.Result) error
+		name   string
+		b      explore.Builder
+		opts   explore.Options
+		check  func(*sim.Result) error
+		donate bool
 	}{
-		{"oneShot-3x2", oneShot(3, 2), explore.Options{Workers: 2}, nil},
-		{"oneShot-crash", oneShot(3, 2), explore.Options{MaxCrashes: 1, Workers: 2}, nil},
-		{"rw3-violations", rwAttempt3(), explore.Options{MaxCrashes: 1, Workers: 2}, agree},
-		{"rw3-pruned-sleep", rwAttempt3(), explore.Options{SleepSets: true, Workers: 2}, agree},
+		{"oneShot-3x2", oneShot(3, 2), explore.Options{Workers: 2}, nil, false},
+		{"oneShot-crash", oneShot(3, 2), explore.Options{MaxCrashes: 1, Workers: 2}, nil, false},
+		{"rw3-violations", rwAttempt3(), explore.Options{MaxCrashes: 1, Workers: 2}, agree, false},
+		{"rw3-pruned-sleep", rwAttempt3(), explore.Options{SleepSets: true, Workers: 2}, agree, false},
+		{"rw3-forced-donation", rwAttempt3(), explore.Options{MaxCrashes: 1, Prune: true, Workers: 4}, agree, true},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			want := explore.Run(tc.b, tc.opts, tc.check)
+			// Without retries, a claim beyond one per settled sub-root is
+			// a donated item.
+			var claims, resolved atomic.Int64
+			if tc.donate {
+				// After the reference census: every work item's pool then
+				// donates at every backtrack.
+				explore.ForceDonation(t)
+				tc.opts.Supervision = &explore.Supervise{OnEvent: func(e explore.Event) {
+					switch e.Kind {
+					case explore.EventClaim:
+						claims.Add(1)
+					case explore.EventResolved:
+						resolved.Add(1)
+					}
+				}}
+			}
 			plan, ok := explore.NewDistPlan(tc.b, tc.opts, tc.check)
 			if !ok {
 				t.Fatal("exploration did not split")
@@ -114,6 +136,9 @@ func TestDistPlanMergeBitIdentical(t *testing.T) {
 			// And with per-item subtree checkpointing switched on.
 			got2 := exploreAllItems(t, plan, tc.b, tc.opts, tc.check, t.TempDir())
 			assertCensusCountsEqual(t, tc.name+"+ck", got2, want)
+			if tc.donate && claims.Load() <= resolved.Load() {
+				t.Fatalf("forced hunger donated nothing: %d claims for %d settled sub-roots", claims.Load(), resolved.Load())
+			}
 		})
 	}
 }
@@ -130,7 +155,7 @@ func TestExploreSubtreeCheckpointResume(t *testing.T) {
 	}
 	root := plan.Roots()[0]
 	path := filepath.Join(t.TempDir(), "item.json")
-	ck := explore.SubtreeCheckpoint{Path: path, Every: 1, Resume: true}
+	ck := explore.Checkpoint{Path: path, Every: 1, Resume: true}
 
 	first, stats1, err := explore.ExploreSubtree(context.Background(), b, opts, nil, plan.Prefix(root), ck, nil)
 	if err != nil {
@@ -143,12 +168,90 @@ func TestExploreSubtreeCheckpointResume(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if stats2.Resumed == 0 {
+	if stats2.ResumedRoots == 0 {
 		t.Fatalf("second pass resumed nothing: %+v", stats2)
 	}
 	if first.Complete != second.Complete || first.Incomplete != second.Incomplete ||
 		first.Violations != second.Violations {
 		t.Fatalf("resume changed the summary: %+v vs %+v", first, second)
+	}
+}
+
+// TestExploreSubtreeForeignCheckpointWarns: a work item too small to
+// split, resumed over another item's checkpoint, must report that it
+// ignored the file — as a split item does — and explore afresh.
+func TestExploreSubtreeForeignCheckpointWarns(t *testing.T) {
+	b := oneShot(2, 2)
+	var scheds [][]explore.Choice
+	explore.Visit(b, explore.Options{}, func(o explore.Outcome) bool {
+		scheds = append(scheds, o.Schedule)
+		return len(scheds) < 2
+	})
+	ck := explore.Checkpoint{Path: filepath.Join(t.TempDir(), "item.json"), Every: 1, Resume: true}
+	// A complete schedule is a work item with nothing left to split.
+	if _, _, err := explore.ExploreSubtree(context.Background(), b, explore.Options{}, nil, scheds[0], ck, nil); err != nil {
+		t.Fatal(err)
+	}
+	sum, stats, err := explore.ExploreSubtree(context.Background(), b, explore.Options{}, nil, scheds[1], ck, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if stats.Warning == "" || stats.ResumedRoots != 0 {
+		t.Fatalf("foreign checkpoint resumed silently: %+v", stats)
+	}
+	if sum.Complete != 1 || sum.Incomplete != 0 {
+		t.Fatalf("item %s: summary %+v, want its one complete run", explore.FormatSchedule(scheds[1]), sum)
+	}
+}
+
+// TestExploreSubtreeChaos: a work item rides the pool's retry budget.
+// Injected kills below the budget leave the summary identical; a
+// sub-root lost after the budget is an error naming the item, never a
+// panic. The lease heartbeat beats without a stall watchdog armed.
+func TestExploreSubtreeChaos(t *testing.T) {
+	b := oneShot(3, 3)
+	opts := explore.Options{Workers: 2}
+	plan, ok := explore.NewDistPlan(b, opts, nil)
+	if !ok {
+		t.Fatal("no split")
+	}
+	prefix := plan.Prefix(plan.Roots()[0])
+	var beats atomic.Int64
+	want, _, err := explore.ExploreSubtree(context.Background(), b, opts, nil, prefix, explore.Checkpoint{}, func() { beats.Add(1) })
+	if err != nil {
+		t.Fatal(err)
+	}
+	if beats.Load() == 0 {
+		t.Fatal("work item never beat")
+	}
+
+	stats := &explore.SuperviseStats{}
+	killed := opts
+	killed.Supervision = &explore.Supervise{
+		BackoffBase: time.Microsecond, BackoffMax: time.Microsecond, Stats: stats,
+		Chaos: &explore.ChaosPlan{Seed: 3, KillRate: 0.5, MaxKills: explore.DefaultMaxAttempts - 1},
+	}
+	got, _, err := explore.ExploreSubtree(context.Background(), b, killed, nil, prefix, explore.Checkpoint{}, nil)
+	if err != nil {
+		t.Fatalf("kills below the attempt budget: %v", err)
+	}
+	if stats.Kills.Load() == 0 {
+		t.Fatal("chaos injected no kills")
+	}
+	if got.Complete != want.Complete || got.Incomplete != want.Incomplete ||
+		got.Violations != want.Violations || fmt.Sprint(got.Outcomes) != fmt.Sprint(want.Outcomes) {
+		t.Fatalf("retried item summary %+v, want %+v", got, want)
+	}
+
+	lost := opts
+	lost.Supervision = &explore.Supervise{
+		BackoffBase: time.Microsecond, BackoffMax: time.Microsecond,
+		Chaos: &explore.ChaosPlan{Seed: 3, KillRate: 1},
+	}
+	ck := explore.Checkpoint{Path: filepath.Join(t.TempDir(), "item.json"), Every: 1}
+	_, _, err = explore.ExploreSubtree(context.Background(), b, lost, nil, prefix, ck, nil)
+	if err == nil || !strings.Contains(err.Error(), explore.FormatSchedule(prefix)) {
+		t.Fatalf("item lost to unlimited kills: err=%v, want an error naming %s", err, explore.FormatSchedule(prefix))
 	}
 }
 
@@ -163,7 +266,7 @@ func TestDistPlanMergeMissingRoot(t *testing.T) {
 
 	done := make(map[int]explore.RootSummary)
 	for _, root := range roots[1:] { // skip the first root
-		sum, _, err := explore.ExploreSubtree(context.Background(), b, opts, nil, plan.Prefix(root), explore.SubtreeCheckpoint{}, nil)
+		sum, _, err := explore.ExploreSubtree(context.Background(), b, opts, nil, plan.Prefix(root), explore.Checkpoint{}, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -196,7 +299,7 @@ func TestDistPlanCheckpointRoundTrip(t *testing.T) {
 	opts := explore.Options{Workers: 2}
 	plan, _ := explore.NewDistPlan(b, opts, nil)
 	root := plan.Roots()[0]
-	sum, _, err := explore.ExploreSubtree(context.Background(), b, opts, nil, plan.Prefix(root), explore.SubtreeCheckpoint{}, nil)
+	sum, _, err := explore.ExploreSubtree(context.Background(), b, opts, nil, plan.Prefix(root), explore.Checkpoint{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -256,7 +256,7 @@ func (en *engine) probe() (*sim.Result, *summary) {
 	en.plan = append(en.plan[:0], en.root...)
 	en.plan = append(en.plan, en.path...)
 	sys := en.b()
-	en.pr = prober{en: en, sys: sys, plan: en.plan, crashBuf: en.pr.crashBuf}
+	en.pr = prober{en: en, choicePlan: choicePlan{choices: en.plan, sys: sys, crashBuf: en.pr.crashBuf}}
 	p := &en.pr
 	cfg := en.simConfig()
 	res, err := sys.Run(cfg)
@@ -324,18 +324,17 @@ func (en *engine) probeMachine() (*sim.Result, *summary) {
 		en.rd = en.snaps.ReaderAt(f.snapW, f.snapV)
 		en.me.Restore(&en.rd)
 		en.plan = append(en.plan[:0], en.path[d:]...)
-		en.pr = prober{
-			en: en, sys: en.me.System(), plan: en.plan,
-			pos: len(en.root) + d, crashes: f.crashes, faults: f.faults,
-			crashBuf: en.pr.crashBuf,
-		}
+		en.pr = prober{en: en, choicePlan: choicePlan{
+			choices: en.plan, sys: en.me.System(),
+			crashes: f.crashes, faults: f.faults, crashBuf: en.pr.crashBuf,
+		}}
 	} else {
 		// First probe (or a walk whose every frame was popped): replay
 		// the fixed root prefix from the initial snapshot.
 		en.rd = en.snaps.ReaderAt(0, 0)
 		en.me.Restore(&en.rd)
 		en.plan = append(en.plan[:0], en.root...)
-		en.pr = prober{en: en, sys: en.me.System(), plan: en.plan, crashBuf: en.pr.crashBuf}
+		en.pr = prober{en: en, choicePlan: choicePlan{choices: en.plan, sys: en.me.System(), crashBuf: en.pr.crashBuf}}
 	}
 	halted, err := en.me.Resume()
 	if err != nil {
@@ -655,80 +654,33 @@ func (en *engine) childChoice(f *frame, idx int) Choice {
 	return Choice{Pick: ready[idx%n], Fault: en.opts.FaultModes[idx/n]}
 }
 
-// prober drives one probe as both Scheduler and FaultPlan: it first
-// consumes the planned choices, then auto-descends first-ready,
+// prober drives one probe as both Scheduler and FaultPlan: its
+// embedded choicePlan replays the committed choices (CrashNow, FaultOp
+// and the plan branch of Next), then Next auto-descends first-ready,
 // registering each new decision point as a frame on the engine. All
 // engine mutation happens from inside Scheduler callbacks, where the
 // runner has every live process parked — the cheap frontier hook that
-// makes one system execution serve a whole root-to-terminal path.
+// makes one system execution serve a whole root-to-terminal path. Auto-
+// descent never crashes or faults: those branches exist only through
+// backtracking into planned choices.
 type prober struct {
-	en      *engine
-	sys     *sim.System
-	plan    []Choice
-	i       int      // next plan index
-	pos     int      // choices consumed so far (plan + auto)
-	crashes int      // crash choices consumed so far
-	faults  int      // object-fault choices consumed so far
-	pruned  *summary // set when a table hit ended the probe
+	choicePlan
+	en     *engine
+	pruned *summary // set when a table hit ended the probe
 	// prunedPerm is the canonical orientation the hit node's key was
 	// computed at; run() un-renames the consumed summary through it.
 	prunedPerm int
-	dead       bool // planned pick was not ready (builder bug)
-	// pendingFault is armed by Next when the consumed plan choice
-	// carries an object fault and collected by FaultOp from the granted
-	// step's Env.Apply. Auto-descent never faults: fault branches exist
-	// only through backtracking into planned choices.
-	pendingFault sim.FaultMode
-	// crashBuf backs CrashNow's return value across probes.
-	crashBuf []sim.ProcID
-}
-
-// FaultOp implements sim.ObjectFaultPlan.
-func (p *prober) FaultOp(_ int) sim.FaultMode {
-	m := p.pendingFault
-	p.pendingFault = sim.FaultNone
-	return m
-}
-
-// CrashNow implements sim.FaultPlan: it consumes all consecutive
-// planned crash choices at the current position. Beyond the plan the
-// engine branches crashes via backtracking, never here. The returned
-// slice is reused across calls; the runner consumes it immediately.
-func (p *prober) CrashNow(_ []sim.ProcID, _ int) []sim.ProcID {
-	if p.i >= len(p.plan) || !p.plan[p.i].Crash {
-		return nil
-	}
-	out := p.crashBuf[:0]
-	for p.i < len(p.plan) && p.plan[p.i].Crash {
-		out = append(out, p.plan[p.i].Pick)
-		p.i++
-		p.pos++
-		p.crashes++
-	}
-	p.crashBuf = out
-	return out
 }
 
 // Next implements sim.Scheduler.
 func (p *prober) Next(ready []sim.ProcID, _ int) sim.ProcID {
-	en := p.en
-	if p.i < len(p.plan) {
-		c := p.plan[p.i]
-		p.i++
-		p.pos++
-		for _, r := range ready {
-			if r == c.Pick {
-				p.pendingFault = c.Fault
-				if c.Fault != sim.FaultNone {
-					p.faults++
-				}
-				return c.Pick
-			}
-		}
-		p.dead = true
-		return sim.Halt
+	if p.i < len(p.choices) {
+		return p.consume(ready)
 	}
-	if p.pos >= en.opts.MaxDepth {
+	en := p.en
+	// Past the plan, the choices consumed so far are exactly root+path.
+	pos := len(en.root) + len(en.path)
+	if pos >= en.opts.MaxDepth {
 		return sim.Halt // depth bound: incomplete terminal
 	}
 	f := frame{crashes: p.crashes, faults: p.faults}
@@ -754,7 +706,7 @@ func (p *prober) Next(ready []sim.ProcID, _ int) sim.ProcID {
 			if ok {
 				key := tableKey{
 					fp:       fp,
-					depthRem: en.opts.MaxDepth - p.pos,
+					depthRem: en.opts.MaxDepth - pos,
 					crashRem: en.opts.MaxCrashes - p.crashes,
 					faultRem: en.opts.ObjectFaults - p.faults,
 				}
@@ -794,6 +746,5 @@ func (p *prober) Next(ready []sim.ProcID, _ int) sim.ProcID {
 	}
 	en.frames = append(en.frames, f)
 	en.path = append(en.path, Choice{Pick: ready[0]})
-	p.pos++
 	return ready[0]
 }

@@ -19,8 +19,13 @@
 // original walker, kept as VisitReplay; DESIGN.md §5.2 ablates the
 // difference). Censuses can additionally prune reconverging schedule
 // prefixes through a state-fingerprint transposition table (prune.go,
-// Options.Prune) and fan subtrees out to parallel workers with a
-// deterministic merge (parallel.go, Options.Workers).
+// Options.Prune). Parallel and supervised censuses — the pruned Run on
+// several workers, RunCheckpointed and a distributed work item
+// (ExploreSubtree) — split the tree into frontier roots (parallel.go)
+// and explore them on the work-stealing pool (steal.go,
+// Options.Workers), which folds the roots back in DFS order; an
+// unpruned parallel Visit or Run streams its roots through
+// parallelVisit's order-preserving sequencer instead.
 package explore
 
 import (
@@ -443,13 +448,17 @@ func replayPrefix(b Builder, opts Options, prefix []Choice) (*sim.Result, []sim.
 // granted step's Env.Apply collects it through FaultOp — no step
 // arithmetic is needed because FaultOp is consulted exactly once per
 // granted step. The plan counts the crash and fault choices it
-// consumes and flags a planned pick that was not ready (dead).
+// consumes and flags a planned pick that was not ready (dead). The
+// engine's prober embeds it to replay each probe's committed prefix.
 type choicePlan struct {
 	choices         []Choice
 	i               int
 	pendingFault    sim.FaultMode
 	crashes, faults int
 	dead            bool
+	// crashBuf backs CrashNow's return value; it survives the engine's
+	// per-probe reset of its prober.
+	crashBuf []sim.ProcID
 
 	// capture fingerprints the node the plan reaches, under
 	// Options.canon: once the plan is exhausted every live process is
@@ -487,19 +496,24 @@ func (p *choicePlan) run(b Builder, opts Options) (*sim.Result, error) {
 }
 
 // CrashNow implements sim.FaultPlan: it consumes all consecutive crash
-// choices at the current position.
+// choices at the current position. The returned slice is reused across
+// calls; the runner consumes it immediately.
 func (p *choicePlan) CrashNow(_ []sim.ProcID, _ int) []sim.ProcID {
-	var out []sim.ProcID
+	if p.i >= len(p.choices) || !p.choices[p.i].Crash {
+		return nil
+	}
+	out := p.crashBuf[:0]
 	for p.i < len(p.choices) && p.choices[p.i].Crash {
 		out = append(out, p.choices[p.i].Pick)
 		p.i++
 		p.crashes++
 	}
+	p.crashBuf = out
 	return out
 }
 
-// Next implements sim.Scheduler: it consumes one pick choice, arming
-// the step's object fault if the choice carries one.
+// Next implements sim.Scheduler: it consumes one pick choice, or halts
+// once the plan is exhausted.
 func (p *choicePlan) Next(ready []sim.ProcID, _ int) sim.ProcID {
 	if p.i >= len(p.choices) {
 		if p.capture {
@@ -507,6 +521,13 @@ func (p *choicePlan) Next(ready []sim.ProcID, _ int) sim.ProcID {
 		}
 		return sim.Halt
 	}
+	return p.consume(ready)
+}
+
+// consume takes the next planned pick, arming the step's object fault
+// if the choice carries one; a pick that is not ready marks the plan
+// dead and halts. Callers check that the plan is not exhausted.
+func (p *choicePlan) consume(ready []sim.ProcID) sim.ProcID {
 	c := p.choices[p.i]
 	p.i++
 	for _, r := range ready {

@@ -96,7 +96,7 @@ func TestDistPlanOrbitSkips(t *testing.T) {
 	done := make(map[int]explore.RootSummary)
 	for _, root := range plan.Roots() {
 		sum, _, err := explore.ExploreSubtree(context.Background(), b, symOpts, nil,
-			plan.Prefix(root), explore.SubtreeCheckpoint{}, nil)
+			plan.Prefix(root), explore.Checkpoint{}, nil)
 		if err != nil {
 			t.Fatalf("root %d: %v", root, err)
 		}
@@ -126,7 +126,7 @@ func TestDistPlanOrbitRepFailure(t *testing.T) {
 	done := make(map[int]explore.RootSummary)
 	for _, root := range roots[1:] {
 		sum, _, err := explore.ExploreSubtree(context.Background(), b, opts, nil,
-			plan.Prefix(root), explore.SubtreeCheckpoint{}, nil)
+			plan.Prefix(root), explore.Checkpoint{}, nil)
 		if err != nil {
 			t.Fatalf("root %d: %v", root, err)
 		}

@@ -12,16 +12,16 @@ import (
 )
 
 // The work-stealing pool: the one driver of every supervised census
-// that splits the tree into frontier roots — the pruned parallel Run
-// and RunCheckpointed alike. The frontier split hands the pool a
-// starting queue of subtree roots, but fixed roots load-balance badly:
-// pruning makes subtree costs wildly uneven (a root whose state was
-// already tabled is nearly free), so some workers drain their share
-// early and idle. Here an idle pool instead makes busy workers DONATE:
-// when the shared queue runs dry and a worker goes hungry, each busy
-// engine, at its next backtrack, splits off every untried child of its
-// shallowest open frame as new queue items and keeps walking its
-// current branch.
+// that splits the tree into frontier roots — the pruned parallel Run,
+// RunCheckpointed and a distributed work item (ExploreSubtree) alike.
+// The frontier split hands the pool a starting queue of subtree roots,
+// but fixed roots load-balance badly: pruning makes subtree costs
+// wildly uneven (a root whose state was already tabled is nearly
+// free), so some workers drain their share early and idle. Here an
+// idle pool instead makes busy workers DONATE: when the shared queue
+// runs dry and a worker goes hungry, each busy engine, at its next
+// backtrack, splits off every untried child of its shallowest open
+// frame as new queue items and keeps walking its current branch.
 //
 // The pool keeps a per-root ledger: every item carries its frontier
 // root's index (donated items inherit their donor's), and each root
@@ -195,6 +195,10 @@ type stealPool struct {
 	// sink, when non-nil, receives every root that settles with no lost
 	// item, exactly once, from a worker goroutine with no pool lock held.
 	sink func(root int, r RootSummary)
+	// beat, when non-nil, fires on every engine step of every attempt
+	// (a distributed worker's lease heartbeat); the stall watchdog's
+	// per-claim heartbeat chains it.
+	beat func()
 
 	mu          sync.Mutex
 	cond        *sync.Cond
@@ -222,7 +226,8 @@ type stealPool struct {
 // newStealPool prepares a census of the split frontier items on the
 // pool: an empty ledger entry per item and, with symmetry resolved, the
 // orbit partition. Callers may pre-settle ledger entries (roots
-// credited from a checkpoint) and set a sink before calling census.
+// credited from a checkpoint) and set a sink and a beat before calling
+// census.
 func newStealPool(b Builder, opts Options, check func(*sim.Result) error, table *pruneTable, items []frontierItem) *stealPool {
 	cfg := opts.supervise()
 	p := &stealPool{
@@ -412,9 +417,15 @@ func (p *stealPool) attempt(workerID int, it *stealItem) {
 	cctx, cancel := context.WithCancel(p.ctx)
 	defer cancel()
 	cl := &stealClaim{it: it, cancel: cancel}
-	var beat func()
+	beat := p.beat
 	if p.cfg.stall > 0 {
-		beat = func() { cl.hb.Add(1) }
+		outer := beat
+		beat = func() {
+			cl.hb.Add(1)
+			if outer != nil {
+				outer()
+			}
+		}
 		p.mu.Lock()
 		p.claims[cl] = struct{}{}
 		p.mu.Unlock()

@@ -62,9 +62,10 @@ type Supervise struct {
 	// It is called from worker goroutines, possibly concurrently, and
 	// must be fast and thread-safe; it must not call back into the walk.
 	// Events are advisory telemetry — they never affect counts. Every
-	// pooled census (RunCheckpointed, and the pruned Run with more than
-	// one worker) emits them: a claim per item attempt, and one resolve
-	// or failure per frontier root once all its items have resolved.
+	// pooled census (RunCheckpointed, ExploreSubtree, and the pruned Run
+	// with more than one worker) emits them: a claim per item attempt,
+	// and one resolve or failure per frontier root once all its items
+	// have resolved.
 	// The streamed unpruned parallel Visit does not.
 	OnEvent func(Event)
 }

@@ -12,6 +12,14 @@ go build ./...
 echo "== go vet ./..."
 go vet ./...
 
+echo "== gofmt -l over the tracked .go files"
+unformatted="$(git ls-files -z '*.go' | xargs -0 -r gofmt -l)"
+if [ -n "$unformatted" ]; then
+	echo "verify: FAIL — gofmt would rewrite:" >&2
+	echo "$unformatted" >&2
+	exit 1
+fi
+
 echo "== go test ./..."
 go test ./...
 
